@@ -71,18 +71,16 @@ struct StrategyResult
 };
 
 StrategyResult
-measure(hw::ConsistencyStrategy strategy)
+measure(hw::ShootdownPolicy policy)
 {
     StrategyResult out;
+    hw::MachineConfig config;
+    config.seed = 0x57a7e6;
+    hw::applyShootdownPolicy(config, policy);
 
     // Per-operation latency: the Section 5.1 tester's single
     // reprotect, 8 processors involved.
     {
-        hw::MachineConfig config;
-        config.consistency_strategy = strategy;
-        if (strategy == hw::ConsistencyStrategy::DelayedFlush)
-            config.tlb_no_refmod_writeback = true;
-        config.seed = 0x57a7e6;
         vm::Kernel kernel(config);
         apps::ConsistencyTester tester(
             {.children = 8, .warmup = 30 * kMsec});
@@ -96,11 +94,6 @@ measure(hw::ConsistencyStrategy strategy)
     // the periodic whole-buffer flushes of technique 2 show up as
     // extra TLB misses (refill traffic) on top of the flush cost.
     {
-        hw::MachineConfig config;
-        config.consistency_strategy = strategy;
-        if (strategy == hw::ConsistencyStrategy::DelayedFlush)
-            config.tlb_no_refmod_writeback = true;
-        config.seed = 0x57a7e6;
         vm::Kernel kernel(config);
         apps::Agora app(apps::Agora::Params{});
         const apps::WorkloadResult result = app.execute(kernel);
@@ -123,10 +116,8 @@ runStrategyPart()
     StrategyResult shoot;
     StrategyResult delayed;
     runFarmed(
-        {[&] { shoot = measure(hw::ConsistencyStrategy::Shootdown); },
-         [&] {
-             delayed = measure(hw::ConsistencyStrategy::DelayedFlush);
-         }});
+        {[&] { shoot = measure(hw::ShootdownPolicy::Baseline); },
+         [&] { delayed = measure(hw::ShootdownPolicy::DelayedFlush); }});
 
     std::printf("Section 3: shootdown vs timer-driven delayed "
                 "flush\n\n");
@@ -357,18 +348,6 @@ shapeConfig(unsigned shape)
     return config;
 }
 
-/** Apply @p policy and its implied hardware knobs to @p config. */
-hw::MachineConfig
-policyConfig(hw::ShootdownPolicy policy, hw::MachineConfig config)
-{
-    config.shootdown_policy = policy;
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
-    return config;
-}
-
 /** One policy x shape measurement. */
 struct Cell
 {
@@ -427,8 +406,8 @@ struct TesterCell
 TesterCell
 runTester(hw::ShootdownPolicy policy)
 {
-    hw::MachineConfig config =
-        policyConfig(policy, hw::MachineConfig{});
+    hw::MachineConfig config;
+    hw::applyShootdownPolicy(config, policy);
     config.seed = 0x57a7e6;
     vm::Kernel kernel(config);
     apps::ConsistencyTester tester(
@@ -456,8 +435,8 @@ struct ServingCell
 ServingCell
 runServing(hw::ShootdownPolicy policy)
 {
-    hw::MachineConfig config =
-        policyConfig(policy, hw::MachineConfig{});
+    hw::MachineConfig config;
+    hw::applyShootdownPolicy(config, policy);
     config.seed = 0x5e12e;
     config.ncpus = 8;
     vm::Kernel kernel(config);
@@ -592,8 +571,9 @@ runPolicyPart()
             [p] { servings[p] = runServing(kPolicies[p]); });
         for (unsigned s = 0; s < kNumShapes; ++s)
             jobs.push_back([p, s] {
-                cells[p][s] = runCell(
-                    s, policyConfig(kPolicies[p], shapeConfig(s)));
+                hw::MachineConfig config = shapeConfig(s);
+                hw::applyShootdownPolicy(config, kPolicies[p]);
+                cells[p][s] = runCell(s, config);
             });
     }
     runFarmed(std::move(jobs));

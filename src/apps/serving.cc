@@ -174,6 +174,21 @@ Serving::serve(vm::Kernel &kernel, kern::Thread &self, unsigned tenant,
 void
 Serving::run(vm::Kernel &kernel, kern::Thread &driver)
 {
+    // Parameters that would hang the churn loop below or run the
+    // machine out of frames fail up front instead.
+    if (params_.concurrency == 0)
+        fatal("Serving: tenant concurrency must be at least 1");
+    const std::uint64_t footprint = std::uint64_t(params_.ws_pages) +
+                                    kColdPages + params_.binary_pages;
+    const std::uint32_t frames = kernel.machine().cfg().phys_frames;
+    if (footprint > frames) {
+        fatal("Serving: one tenant's footprint (%u working-set + %u "
+              "cold + %u binary pages) exceeds the machine's %u "
+              "physical frames",
+              params_.ws_pages, kColdPages, params_.binary_pages,
+              frames);
+    }
+
     // ---- The exec server: shared binary + per-fork COW image --------
     vm::Task *execd = kernel.createTask("execd");
     VAddr binary = 0;

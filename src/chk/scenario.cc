@@ -160,8 +160,8 @@ stormLaunch(unsigned children, unsigned rounds, Tick warmup,
                 stop = true;
                 for (kern::Thread *t : kids)
                     drv.join(*t);
-                if (kernel.machine().cfg().consistency_strategy ==
-                        hw::ConsistencyStrategy::Shootdown &&
+                if (kernel.machine().cfg().shootdown_policy !=
+                        hw::ShootdownPolicy::DelayedFlush &&
                     kernel.pmaps().shoot().initiated == 0)
                     failCoverage(state, "storm: no shootdown ran");
                 if (extra)
@@ -466,8 +466,7 @@ hw::MachineConfig
 lazyAsidConfig()
 {
     hw::MachineConfig config = smallConfig(4);
-    config.shootdown_policy = hw::ShootdownPolicy::LazyAsid;
-    config.tlb_asid_tags = true;
+    hw::applyShootdownPolicy(config, hw::ShootdownPolicy::LazyAsid);
     // No scheduler timer: a tick landing while the driver is mid-op
     // can park it until the *next* tick (up to a full period), which
     // would push an unperturbed revoke out of the writer's on-CPU
@@ -1088,8 +1087,7 @@ builtinScenarios()
     }
     {
         hw::MachineConfig c = smallConfig();
-        c.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
-        c.tlb_no_refmod_writeback = true;
+        hw::applyShootdownPolicy(c, hw::ShootdownPolicy::DelayedFlush);
         out.push_back(storm("delayed-flush",
                             "technique 2: timer-based delayed flush",
                             c, 1200 * kMsec));

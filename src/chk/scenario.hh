@@ -14,7 +14,7 @@
  *    hardware option (high-priority IPI, multicast, broadcast,
  *    software reload, no ref/mod writeback, interlocked ref/mod,
  *    remote invalidate, ASID tags, virtual cache), the Section 8
- *    pool restructuring, and the delayed-flush strategy.
+ *    pool restructuring, and the delayed-flush policy.
  *
  * Workloads report through ScenarioState instead of asserting:
  * `finished` is the bounded-liveness signal (every shootdown

@@ -351,8 +351,8 @@ vmgenScenario(const VmGenOptions &opt)
                                 "vmgen: device path not exercised";
                     }
                 }
-                if (kernel.machine().cfg().consistency_strategy ==
-                        hw::ConsistencyStrategy::Shootdown &&
+                if (kernel.machine().cfg().shootdown_policy !=
+                        hw::ShootdownPolicy::DelayedFlush &&
                     kernel.pmaps().shoot().initiated == 0 &&
                     state->coverage_ok) {
                     state->coverage_ok = false;

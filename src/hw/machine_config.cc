@@ -5,6 +5,62 @@
 namespace mach::hw
 {
 
+namespace
+{
+
+/**
+ * The hardware rules of @p config's consistency policy: the reason
+ * validate() rejects the policy on this hardware, or nullptr.
+ */
+const char *
+policyConflict(const MachineConfig &config)
+{
+    const ShootdownPolicy policy = config.shootdown_policy;
+    if (policy == ShootdownPolicy::DelayedFlush) {
+        if (!config.tlb_no_refmod_writeback &&
+            !config.tlb_interlocked_refmod) {
+            return "the delayed-flush technique leaves remote TLBs "
+                   "live during pmap updates, so it requires "
+                   "tlb_no_refmod_writeback (cf. the MIPS systems of "
+                   "Thompson et al.)";
+        }
+        if (config.timer_period == 0)
+            return "delayed-flush needs timer interrupts to drive the "
+                   "buffer flushes";
+    } else if (policy != ShootdownPolicy::Baseline &&
+               config.tlb_remote_invalidate) {
+        return "tlb_remote_invalidate bypasses the responder protocol "
+               "the avoidance policies hook";
+    }
+    if (policy == ShootdownPolicy::LazyAsid && !config.tlb_asid_tags) {
+        return "the lazy-asid policy defers flushes across context "
+               "switches, which only a tagged TLB survives; set "
+               "tlb_asid_tags";
+    }
+    if (policy == ShootdownPolicy::ReuseElide &&
+        config.tlb_no_refmod_writeback) {
+        return "the reuse-elide policy proves pages uncached via the "
+               "reference bit every TLB fill sets; "
+               "tlb_no_refmod_writeback breaks that proof";
+    }
+    if (policy == ShootdownPolicy::ReuseElide &&
+        !config.tlb_software_reload) {
+        return "the reuse-elide proof is only race-free when TLB misses "
+               "stall on a locked pmap, i.e. with software reload (a "
+               "hardware walker could re-cache a clean page mid-update, "
+               "after the reference bits were scanned); set "
+               "tlb_software_reload";
+    }
+    if (config.chk_skip_asid_gen_check &&
+        policy != ShootdownPolicy::LazyAsid) {
+        return "chk_skip_asid_gen_check plants a bug in the lazy-asid "
+               "context-load hook; set shootdown_policy to LazyAsid";
+    }
+    return nullptr;
+}
+
+} // namespace
+
 Spl
 MachineConfig::irqPriority(Irq irq) const
 {
@@ -50,17 +106,6 @@ MachineConfig::validate() const
               "ncpus (%u)",
               kernel_pools, ncpus);
     }
-    if (consistency_strategy == ConsistencyStrategy::DelayedFlush) {
-        if (!tlb_no_refmod_writeback && !tlb_interlocked_refmod) {
-            fatal("MachineConfig: the delayed-flush technique leaves "
-                  "remote TLBs live during pmap updates, so it "
-                  "requires tlb_no_refmod_writeback (cf. the MIPS "
-                  "systems of Thompson et al.)");
-        }
-        if (timer_period == 0)
-            fatal("MachineConfig: delayed-flush needs timer "
-                  "interrupts to drive the buffer flushes");
-    }
     if (tlb_remote_invalidate && !tlb_no_refmod_writeback &&
         !tlb_interlocked_refmod) {
         // Section 9: remote invalidation "can eliminate shootdown
@@ -78,45 +123,12 @@ MachineConfig::validate() const
     if (tlb_interlocked_refmod && tlb_no_refmod_writeback)
         fatal("MachineConfig: interlocked ref/mod updates and no "
               "writeback at all are mutually exclusive TLB designs");
-    if (shootdown_policy != ShootdownPolicy::Baseline) {
-        if (consistency_strategy == ConsistencyStrategy::DelayedFlush)
-            fatal("MachineConfig: shootdown-avoidance policies layer "
-                  "over the shootdown strategy, not delayed-flush");
-        if (tlb_remote_invalidate)
-            fatal("MachineConfig: tlb_remote_invalidate bypasses the "
-                  "responder protocol the avoidance policies hook");
-    }
-    if (shootdown_policy == ShootdownPolicy::LazyAsid &&
-        !tlb_asid_tags) {
-        fatal("MachineConfig: the lazy-asid policy defers flushes "
-              "across context switches, which only a tagged TLB "
-              "survives; set tlb_asid_tags");
-    }
-    if (shootdown_policy == ShootdownPolicy::ReuseElide) {
-        if (tlb_no_refmod_writeback) {
-            fatal("MachineConfig: the reuse-elide policy proves pages "
-                  "uncached via the reference bit every TLB fill sets; "
-                  "tlb_no_refmod_writeback breaks that proof");
-        }
-        if (!tlb_software_reload) {
-            fatal("MachineConfig: the reuse-elide proof is only "
-                  "race-free when TLB misses stall on a locked pmap, "
-                  "i.e. with software reload (a hardware walker could "
-                  "re-cache a clean page mid-update, after the "
-                  "reference bits were scanned); set "
-                  "tlb_software_reload");
-        }
-    }
+    if (const char *why = policyConflict(*this))
+        fatal("MachineConfig: %s", why);
     if (range_flush_crossover < tlb_flush_threshold)
         fatal("MachineConfig: range_flush_crossover (%u) must be >= "
               "tlb_flush_threshold (%u)",
               range_flush_crossover, tlb_flush_threshold);
-    if (chk_skip_asid_gen_check &&
-        shootdown_policy != ShootdownPolicy::LazyAsid) {
-        fatal("MachineConfig: chk_skip_asid_gen_check plants a bug in "
-              "the lazy-asid context-load hook; set shootdown_policy "
-              "to LazyAsid");
-    }
     if (numa_nodes == 0 || numa_nodes > 8)
         fatal("MachineConfig: numa_nodes (%u) out of range [1,8]",
               numa_nodes);
@@ -176,6 +188,8 @@ shootdownPolicyName(ShootdownPolicy policy)
         return "range-flush";
       case ShootdownPolicy::ReuseElide:
         return "reuse-elide";
+      case ShootdownPolicy::DelayedFlush:
+        return "delayed-flush";
     }
     panic("shootdownPolicyName: bad policy %u",
           static_cast<unsigned>(policy));
@@ -187,7 +201,7 @@ parseShootdownPolicy(const std::string &name, ShootdownPolicy *out)
     static constexpr ShootdownPolicy kAll[] = {
         ShootdownPolicy::Baseline, ShootdownPolicy::LazyAsid,
         ShootdownPolicy::Batched, ShootdownPolicy::RangeFlush,
-        ShootdownPolicy::ReuseElide};
+        ShootdownPolicy::ReuseElide, ShootdownPolicy::DelayedFlush};
     for (const ShootdownPolicy policy : kAll) {
         if (name == shootdownPolicyName(policy)) {
             *out = policy;
@@ -195,6 +209,20 @@ parseShootdownPolicy(const std::string &name, ShootdownPolicy *out)
         }
     }
     return false;
+}
+
+bool
+applyShootdownPolicy(MachineConfig &config, ShootdownPolicy policy)
+{
+    config.shootdown_policy = policy;
+    if (policy == ShootdownPolicy::LazyAsid)
+        config.tlb_asid_tags = true;
+    if (policy == ShootdownPolicy::ReuseElide)
+        config.tlb_software_reload = true;
+    if (policy == ShootdownPolicy::DelayedFlush &&
+        !config.tlb_interlocked_refmod)
+        config.tlb_no_refmod_writeback = true;
+    return policyConflict(config) == nullptr;
 }
 
 } // namespace mach::hw

@@ -52,32 +52,16 @@ enum Spl : std::uint8_t
 };
 
 /**
- * How TLB consistency is maintained (Section 3's candidate
- * techniques).
- */
-enum class ConsistencyStrategy : std::uint8_t
-{
-    /** Technique 1: the Mach shootdown algorithm (the paper's choice). */
-    Shootdown,
-    /**
-     * Technique 2: delay use of changed mappings until every buffer
-     * has been flushed by code executed in response to timer
-     * interrupts. Correct, but "the additional buffer flushes ... can
-     * be expensive on some architectures", and every mapping change
-     * waits out a timer period. Requires a TLB without ref/mod
-     * writeback (as on the MIPS systems where this technique was
-     * actually used), since nothing stalls remote processors during
-     * the update.
-     */
-    DelayedFlush,
-};
-
-/**
- * Shootdown-avoidance policy layered over the Figure-1 algorithm
- * (docs/ALGORITHM.md, "Beyond 1989"). Baseline is the paper's eager
- * protocol; every other policy elides or defers work the 1989
- * algorithm would have done, and every one of them must keep the
+ * How a mapping change becomes safe: the TLB consistency policy
+ * (Section 3's candidate techniques plus the avoidance policies of
+ * docs/ALGORITHM.md, "Beyond 1989"). Baseline is the paper's eager
+ * Figure-1 shootdown; the four avoidance policies elide or defer work
+ * that algorithm would have done; DelayedFlush replaces it with
+ * Section 3's technique 2. Every one of them must keep the
  * stale-translation oracle clean across the full scenario library.
+ * Each policy's hardware prerequisites are stated once:
+ * applyShootdownPolicy() turns them on, and validate() enforces the
+ * same rule.
  */
 enum class ShootdownPolicy : std::uint8_t
 {
@@ -115,9 +99,21 @@ enum class ShootdownPolicy : std::uint8_t
      * valid but never referenced since its last fill, which this
      * simulator's fill path makes sound because every TLB fill sets
      * the reference bit at the fill instant. Requires ref/mod
-     * writeback (not tlb_no_refmod_writeback).
+     * writeback (not tlb_no_refmod_writeback) and software reload.
      */
     ReuseElide,
+    /**
+     * Technique 2 instead of a shootdown: delay use of changed
+     * mappings until every buffer has been flushed by code executed in
+     * response to timer interrupts. Correct, but "the additional
+     * buffer flushes ... can be expensive on some architectures", and
+     * every mapping change waits out a timer period. Requires a TLB
+     * without ref/mod writeback (as on the MIPS systems where this
+     * technique was actually used) or with interlocked ref/mod
+     * updates, since nothing stalls remote processors during the
+     * update, and a running scheduler timer.
+     */
+    DelayedFlush,
 };
 
 /**
@@ -378,10 +374,6 @@ struct MachineConfig
 
     // ---- Policy toggles ----------------------------------------------
 
-    /** TLB consistency technique (Section 3). */
-    ConsistencyStrategy consistency_strategy =
-        ConsistencyStrategy::Shootdown;
-
     /**
      * Section 8 restructuring for large machines: divide both the
      * processors and the kernel virtual address space into this many
@@ -396,7 +388,8 @@ struct MachineConfig
     unsigned kernel_pools = 1;
 
     /**
-     * Shootdown-avoidance policy layered over Figure 1 (see the enum).
+     * TLB consistency policy (see the enum); set it with
+     * applyShootdownPolicy() to get its hardware prerequisites.
      * Baseline leaves every code path, counter, and digest input
      * bit-identical to the pre-policy simulator.
      */
@@ -607,6 +600,18 @@ const char *shootdownPolicyName(ShootdownPolicy policy);
  * unknown name.
  */
 bool parseShootdownPolicy(const std::string &name, ShootdownPolicy *out);
+
+/**
+ * Select @p policy on @p config together with the hardware it implies:
+ * lazy-asid turns on tlb_asid_tags, reuse-elide tlb_software_reload,
+ * and delayed-flush tlb_no_refmod_writeback (unless the TLB already
+ * has tlb_interlocked_refmod). Returns false when the policy cannot
+ * run on the rest of the hardware -- e.g. an avoidance policy on
+ * tlb_remote_invalidate, or reuse-elide without ref/mod writeback.
+ * The check is the one validate() applies, so on an otherwise valid
+ * configuration false means exactly "validate() would reject this".
+ */
+bool applyShootdownPolicy(MachineConfig &config, ShootdownPolicy policy);
 
 } // namespace mach::hw
 

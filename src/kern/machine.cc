@@ -53,8 +53,8 @@ Machine::Machine(const hw::MachineConfig &config)
         Tick service = config_.timer_service_cost;
         if (rng_.chance(0.03))
             service += Tick(rng_.exponential(2500.0) * kUsec);
-        if (config_.consistency_strategy ==
-            hw::ConsistencyStrategy::DelayedFlush) {
+        if (config_.shootdown_policy ==
+            hw::ShootdownPolicy::DelayedFlush) {
             // Technique 2: the periodic tick flushes the whole TLB so
             // that pending mapping changes eventually become safe.
             cpu.tlb().flushAll();

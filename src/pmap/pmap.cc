@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <string>
 
 #include "base/logging.hh"
 #include "base/trace.hh"
@@ -161,8 +162,7 @@ Pmap::updateMappings(kern::Thread &thread, Vpn start, Vpn end,
     }
 
     const bool delayed =
-        cfg.consistency_strategy ==
-        hw::ConsistencyStrategy::DelayedFlush;
+        cfg.shootdown_policy == hw::ShootdownPolicy::DelayedFlush;
 
     // On baseline (and software-reload) hardware the consistency
     // actions precede the change; on remote-invalidate or postponed-
@@ -415,156 +415,113 @@ PmapSystem::anyPmapLocked() const
     return false;
 }
 
+namespace
+{
+
+/**
+ * Audit one translation cache: every valid indexed entry, and every L0
+ * slot that does not mirror one, must be backed by a PTE granting at
+ * least its rights. @p label() names the cache's owner ("cpu3",
+ * "dev0") and is called only when a violation is recorded; entries of
+ * a space for which @p deferred_residue holds are skipped.
+ */
+template <typename Label, typename Residue>
+void
+auditTlb(const PmapSystem &sys, const hw::Tlb &tlb, const Label &label,
+         const Residue &deferred_residue,
+         std::vector<std::string> &violations)
+{
+    char buf[160];
+    auto check = [&](const hw::TlbEntry &entry, const char *where) {
+        const Pmap *pmap = sys.pmapForSpace(entry.space);
+        if (pmap == nullptr) {
+            std::snprintf(buf, sizeof(buf),
+                          "%s %scaches vpn 0x%x for a destroyed space %u",
+                          label().c_str(), where, entry.vpn, entry.space);
+            violations.emplace_back(buf);
+            return;
+        }
+        const std::uint32_t pte = pmap->table().readPte(entry.vpn);
+        if (!hw::pte::valid(pte) || hw::pte::pfn(pte) != entry.pfn ||
+            !protAllows(hw::pte::prot(pte), entry.prot)) {
+            std::snprintf(buf, sizeof(buf),
+                          "%s %scaches vpn 0x%x space %u prot %u pfn %u "
+                          "but PTE is 0x%08x",
+                          label().c_str(), where, entry.vpn, entry.space,
+                          static_cast<unsigned>(entry.prot), entry.pfn,
+                          pte);
+            violations.emplace_back(buf);
+        }
+    };
+    const std::vector<hw::TlbEntry> &live = tlb.entries();
+    for (const hw::TlbEntry &entry : live) {
+        if (entry.valid && !deferred_residue(entry.space))
+            check(entry, "");
+    }
+    // The host-side L0 cache serves translations without revalidating
+    // against the indexed TLB, so a missed L0 invalidation is a genuine
+    // stale-translation hazard. Audit everything it would serve with
+    // the same checks. Slots that exactly mirror a live indexed entry
+    // are skipped: the loop above already audited that translation,
+    // and with correct L0 maintenance every slot falls in this
+    // category.
+    for (const hw::TlbEntry &entry : tlb.l0Translations()) {
+        if (deferred_residue(entry.space))
+            continue;
+        const bool mirrors_live = std::any_of(
+            live.begin(), live.end(), [&](const hw::TlbEntry &backing) {
+                return backing.valid && backing.space == entry.space &&
+                       backing.vpn == entry.vpn &&
+                       backing.pfn == entry.pfn &&
+                       backing.prot == entry.prot;
+            });
+        if (!mirrors_live)
+            check(entry, "L0 ");
+    }
+}
+
+} // namespace
+
 std::vector<std::string>
 PmapSystem::auditTlbConsistency() const
 {
     std::vector<std::string> violations;
-    char buf[160];
     for (CpuId id = 0; id < machine_.ncpus(); ++id) {
-        kern::Cpu &cpu = const_cast<kern::Machine &>(machine_).cpu(id);
         // A processor with consistency actions still queued (typically
         // an idle one, which receives no interrupts) may legitimately
         // hold stale entries: the algorithm guarantees it will drain
         // the queue before performing any translation.
         if (shoot_->stateFor(id).action_needed)
             continue;
+        kern::Cpu &cpu = const_cast<kern::Machine &>(machine_).cpu(id);
         // Residue of a space with a deferred flush pending on this
         // processor is dead by construction (LazyAsid policy): the
         // flush is applied before the space can become current here
         // again. Residue of the *current* space is never excused --
         // a set flag on the running space is exactly the stale state
         // the planted broken-asid variant creates.
-        auto deferred_residue = [&](hw::SpaceId space) {
-            return cpu.tlb().hasDeferredFlush(space) &&
-                   (cpu.cur_pmap == nullptr ||
-                    cpu.cur_pmap->space() != space);
-        };
-        const std::vector<hw::TlbEntry> live = cpu.tlb().entries();
-        for (const hw::TlbEntry &entry : live) {
-            if (!entry.valid || deferred_residue(entry.space))
-                continue;
-            const Pmap *pmap = pmapForSpace(entry.space);
-            if (pmap == nullptr) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u caches vpn 0x%x for a destroyed "
-                              "space %u",
-                              id, entry.vpn, entry.space);
-                violations.emplace_back(buf);
-                continue;
-            }
-            const std::uint32_t pte = pmap->table().readPte(entry.vpn);
-            if (!hw::pte::valid(pte) ||
-                hw::pte::pfn(pte) != entry.pfn ||
-                !protAllows(hw::pte::prot(pte), entry.prot)) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u caches vpn 0x%x space %u prot %u "
-                              "pfn %u but PTE is 0x%08x",
-                              id, entry.vpn, entry.space,
-                              static_cast<unsigned>(entry.prot),
-                              entry.pfn, pte);
-                violations.emplace_back(buf);
-            }
-        }
-        // The host-side L0 cache serves translations without
-        // revalidating against the indexed TLB, so a missed L0
-        // invalidation is a genuine stale-translation hazard. Audit
-        // everything it would serve with the same checks. Slots that
-        // exactly mirror a live indexed entry are skipped: the loop
-        // above already audited that translation, and with correct L0
-        // maintenance every slot falls in this category.
-        for (const hw::TlbEntry &entry : cpu.tlb().l0Translations()) {
-            if (deferred_residue(entry.space))
-                continue;
-            bool mirrors_live = false;
-            for (const hw::TlbEntry &backing : live) {
-                if (backing.valid && backing.space == entry.space &&
-                    backing.vpn == entry.vpn &&
-                    backing.pfn == entry.pfn &&
-                    backing.prot == entry.prot) {
-                    mirrors_live = true;
-                    break;
-                }
-            }
-            if (mirrors_live)
-                continue;
-            const Pmap *pmap = pmapForSpace(entry.space);
-            if (pmap == nullptr) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u L0 caches vpn 0x%x for a "
-                              "destroyed space %u",
-                              id, entry.vpn, entry.space);
-                violations.emplace_back(buf);
-                continue;
-            }
-            const std::uint32_t pte = pmap->table().readPte(entry.vpn);
-            if (!hw::pte::valid(pte) ||
-                hw::pte::pfn(pte) != entry.pfn ||
-                !protAllows(hw::pte::prot(pte), entry.prot)) {
-                std::snprintf(buf, sizeof(buf),
-                              "cpu%u L0 caches vpn 0x%x space %u "
-                              "prot %u pfn %u but PTE is 0x%08x",
-                              id, entry.vpn, entry.space,
-                              static_cast<unsigned>(entry.prot),
-                              entry.pfn, pte);
-                violations.emplace_back(buf);
-            }
-        }
+        auditTlb(
+            *this, cpu.tlb(), [id] { return "cpu" + std::to_string(id); },
+            [&cpu](hw::SpaceId space) {
+                return cpu.tlb().hasDeferredFlush(space) &&
+                       (cpu.cur_pmap == nullptr ||
+                        cpu.cur_pmap->space() != space);
+            },
+            violations);
     }
     // Device IOTLBs are audited exactly like CPU TLBs: an entry must
     // never grant rights its PTE does not. The action-needed excuse
     // applies (a device with actions queued drains them before its
     // next translation), but there is no deferred-flush excuse --
     // devices never participate in the LazyAsid deferral.
-    for (pmap::TlbResponder *dev : shoot_->responders()) {
+    for (const pmap::TlbResponder *dev : shoot_->responders()) {
         if (shoot_->stateFor(dev->id()).action_needed)
             continue;
-        const std::string label = dev->describe();
-        const std::vector<hw::TlbEntry> live = dev->tlb().entries();
-        auto checkEntry = [&](const hw::TlbEntry &entry,
-                              const char *where) {
-            const Pmap *pmap = pmapForSpace(entry.space);
-            if (pmap == nullptr) {
-                std::snprintf(buf, sizeof(buf),
-                              "%s %scaches vpn 0x%x for a destroyed "
-                              "space %u",
-                              label.c_str(), where, entry.vpn,
-                              entry.space);
-                violations.emplace_back(buf);
-                return;
-            }
-            const std::uint32_t pte = pmap->table().readPte(entry.vpn);
-            if (!hw::pte::valid(pte) ||
-                hw::pte::pfn(pte) != entry.pfn ||
-                !protAllows(hw::pte::prot(pte), entry.prot)) {
-                std::snprintf(buf, sizeof(buf),
-                              "%s %scaches vpn 0x%x space %u prot %u "
-                              "pfn %u but PTE is 0x%08x",
-                              label.c_str(), where, entry.vpn,
-                              entry.space,
-                              static_cast<unsigned>(entry.prot),
-                              entry.pfn, pte);
-                violations.emplace_back(buf);
-            }
-        };
-        for (const hw::TlbEntry &entry : live) {
-            if (entry.valid)
-                checkEntry(entry, "");
-        }
-        for (const hw::TlbEntry &entry : dev->tlb().l0Translations()) {
-            bool mirrors_live = false;
-            for (const hw::TlbEntry &backing : live) {
-                if (backing.valid && backing.space == entry.space &&
-                    backing.vpn == entry.vpn &&
-                    backing.pfn == entry.pfn &&
-                    backing.prot == entry.prot) {
-                    mirrors_live = true;
-                    break;
-                }
-            }
-            if (!mirrors_live)
-                checkEntry(entry, "L0 ");
-        }
+        auditTlb(
+            *this, dev->tlb(), [dev] { return dev->describe(); },
+            [](hw::SpaceId) { return false; }, violations);
     }
+    char buf[160];
     // With per-node page-table replicas, every replica must agree with
     // the primary (modulo per-node ref/mod bits) at quiescent points.
     for (const auto &[space, pmap] : spaces_) {

@@ -16,17 +16,6 @@ namespace mach::pmap
 namespace
 {
 
-/** The 1989 algorithm, exactly: every hook keeps its default. */
-class BaselinePolicy : public ShootdownPolicy
-{
-  public:
-    using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::Baseline;
-    }
-};
-
 /**
  * ASID-generation lazy invalidation. With address-space tags the
  * entries of a space that is *not current* on some processor are mere
@@ -49,11 +38,6 @@ class LazyAsidPolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::LazyAsid;
-    }
-
     bool
     deferTarget(kern::Cpu &self, CpuId target, Pmap &pmap, Vpn start,
                 Vpn end) override
@@ -140,11 +124,6 @@ class BatchedPolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::Batched;
-    }
-
     bool
     mergeQueued(std::vector<ShootAction> &queue, Pmap &pmap, Vpn start,
                 Vpn end) override
@@ -196,11 +175,6 @@ class RangeFlushPolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::RangeFlush;
-    }
-
     bool
     invalidate(kern::Cpu &cpu, hw::SpaceId space, Vpn start,
                Vpn end) override
@@ -243,11 +217,6 @@ class ReuseElidePolicy : public ShootdownPolicy
 {
   public:
     using ShootdownPolicy::ShootdownPolicy;
-    hw::ShootdownPolicy kind() const override
-    {
-        return hw::ShootdownPolicy::ReuseElide;
-    }
-
     bool
     reuseElideCheck(kern::Cpu &self, Pmap &pmap, Vpn start,
                     Vpn end) override
@@ -285,7 +254,11 @@ makeShootdownPolicy(ShootdownController &shoot, kern::Machine &machine)
 {
     switch (machine.cfg().shootdown_policy) {
       case hw::ShootdownPolicy::Baseline:
-        return std::make_unique<BaselinePolicy>(shoot, machine);
+      case hw::ShootdownPolicy::DelayedFlush:
+        // The 1989 algorithm, exactly: every hook keeps its default.
+        // Delayed flush never shoots down (Pmap::updateMappings takes
+        // the timer-flush path instead), so it needs no hook either.
+        return std::make_unique<ShootdownPolicy>(shoot, machine);
       case hw::ShootdownPolicy::LazyAsid:
         return std::make_unique<LazyAsidPolicy>(shoot, machine);
       case hw::ShootdownPolicy::Batched:

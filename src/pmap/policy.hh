@@ -34,7 +34,13 @@
  * Each hook defaults to "do what 1989 did", and the Baseline policy
  * overrides nothing, so configurations that never select a policy are
  * bit-identical to the pre-policy simulator (the pinned runDigest
- * goldens enforce this).
+ * goldens enforce this). The sixth value of the same axis,
+ * DelayedFlush (Section 3's technique 2), overrides nothing either: it
+ * replaces the shootdown instead of avoiding parts of it, so its
+ * timer-driven flushes live in Pmap::updateMappings, the timer
+ * interrupt and the idle loop rather than behind these hooks. Each
+ * policy's hardware prerequisites are stated once, in
+ * hw::applyShootdownPolicy().
  */
 
 #ifndef MACH_PMAP_POLICY_HH
@@ -76,9 +82,6 @@ class ShootdownPolicy
 
     ShootdownPolicy(const ShootdownPolicy &) = delete;
     ShootdownPolicy &operator=(const ShootdownPolicy &) = delete;
-
-    virtual hw::ShootdownPolicy kind() const = 0;
-    const char *name() const { return hw::shootdownPolicyName(kind()); }
 
     /**
      * Phase-1 hook, called for each prospective target before its

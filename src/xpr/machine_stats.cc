@@ -319,8 +319,8 @@ fnv1aU64(std::uint64_t hash, std::uint64_t value)
 std::uint64_t
 runDigest(vm::Kernel &kernel)
 {
-    // Keep in lockstep with tests/determinism_test.cc's runDigest:
-    // the golden digests there pin this exact formula.
+    // The golden digests in tests/determinism_test.cc pin this exact
+    // formula.
     std::uint64_t hash = 0xcbf29ce484222325ull;
     std::ostringstream print;
     for (const Event &event : kernel.machine().xpr().events()) {

@@ -15,9 +15,8 @@
 #include "base/perturb.hh"
 #include "chk/explorer.hh"
 #include "chk/scenario.hh"
-#include "hw/tlb.hh"
-#include "pmap/shootdown.hh"
 #include "vm/kernel.hh"
+#include "xpr/machine_stats.hh"
 
 namespace mach
 {
@@ -96,8 +95,9 @@ TEST(Determinism, DifferentSeedsDiffer)
 }
 
 // ---------------------------------------------------------------------
-// Determinism digests: a single FNV-1a hash over the xpr event stream,
-// every CPU's TLB counters, and the shootdown controller's counters.
+// Determinism digests (xpr::runDigest): a single FNV-1a hash over the
+// xpr event stream, every CPU's TLB counters, and the shootdown
+// controller's counters.
 // The digest pins the simulator's *entire observable order contract*:
 // the (time, insertion-seq) total order of the event queue, the RNG
 // draw sequence, and the TLB bookkeeping. Any rewrite of the hot core
@@ -124,35 +124,6 @@ fnv1aU64(std::uint64_t hash, std::uint64_t value)
     return fnv1a(hash, &value, sizeof(value));
 }
 
-/** Hash everything the order contract can influence. */
-std::uint64_t
-runDigest(vm::Kernel &kernel)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ull;
-    const std::string print = fingerprint(kernel.machine().xpr());
-    hash = fnv1a(hash, print.data(), print.size());
-    hash = fnv1aU64(hash, kernel.machine().now());
-    for (CpuId id = 0; id < kernel.machine().ncpus(); ++id) {
-        const hw::Tlb &tlb = kernel.machine().cpu(id).tlb();
-        hash = fnv1aU64(hash, tlb.hits);
-        hash = fnv1aU64(hash, tlb.misses);
-        hash = fnv1aU64(hash, tlb.writebacks);
-        hash = fnv1aU64(hash, tlb.flushes);
-        hash = fnv1aU64(hash, tlb.single_invalidates);
-        hash = fnv1aU64(hash, tlb.full_flushes);
-        hash = fnv1aU64(hash, tlb.validCount());
-    }
-    const pmap::ShootdownController &shoot = kernel.pmaps().shoot();
-    hash = fnv1aU64(hash, shoot.initiated);
-    hash = fnv1aU64(hash, shoot.delayed_waits);
-    hash = fnv1aU64(hash, shoot.interrupts_sent);
-    hash = fnv1aU64(hash, shoot.responder_passes);
-    hash = fnv1aU64(hash, shoot.idle_drains);
-    hash = fnv1aU64(hash, shoot.queue_overflows);
-    hash = fnv1aU64(hash, shoot.remote_invalidates);
-    return hash;
-}
-
 /** Tester (6 children) followed by a denser 12-child shootdown storm. */
 std::uint64_t
 stormDigest(std::uint64_t seed, bool software_reload,
@@ -173,7 +144,7 @@ stormDigest(std::uint64_t seed, bool software_reload,
             {.children = 6, .warmup = 20 * kMsec});
         tester.execute(kernel);
         EXPECT_TRUE(tester.consistent());
-        hash = fnv1aU64(hash, runDigest(kernel));
+        hash = fnv1aU64(hash, xpr::runDigest(kernel));
     }
     {
         hw::MachineConfig config;
@@ -188,7 +159,7 @@ stormDigest(std::uint64_t seed, bool software_reload,
             {.children = 12, .warmup = 30 * kMsec});
         tester.execute(kernel);
         EXPECT_TRUE(tester.consistent());
-        hash = fnv1aU64(hash, runDigest(kernel));
+        hash = fnv1aU64(hash, xpr::runDigest(kernel));
     }
     return hash;
 }
@@ -260,7 +231,7 @@ perturbedDigest(std::uint64_t seed, const char *schedule)
     tester.execute(kernel);
     EXPECT_TRUE(tester.consistent());
     kernel.machine().setPerturber(nullptr);
-    return runDigest(kernel);
+    return xpr::runDigest(kernel);
 }
 
 struct PerturbedCase

@@ -330,34 +330,6 @@ constexpr hw::ShootdownPolicy kAvoidancePolicies[] = {
 };
 
 /**
- * Retarget @p config at @p policy, adding the TLB features the policy
- * needs (the strategy tier's adaptation rules; see
- * tests/policy_strategy_test.cc). Returns false when the combination
- * is architecturally incompatible.
- */
-bool
-adaptConfigToPolicy(hw::MachineConfig &config,
-                    hw::ShootdownPolicy policy)
-{
-    if (config.consistency_strategy ==
-        hw::ConsistencyStrategy::DelayedFlush)
-        return false;
-    if (config.tlb_remote_invalidate)
-        return false;
-    if (policy == hw::ShootdownPolicy::ReuseElide &&
-        config.tlb_no_refmod_writeback)
-        return false;
-
-    config.shootdown_policy = policy;
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
-    config.validate();
-    return true;
-}
-
-/**
  * The device scenarios stay clean under every avoidance policy: the
  * healthy twin of the planted bug in particular must hold across the
  * full matrix (the strategy tier runs this too; the device lane is
@@ -374,7 +346,7 @@ TEST(DeviceScenarios, CleanAcrossPolicyMatrix)
         ASSERT_NE(base, nullptr) << name;
         for (hw::ShootdownPolicy policy : kAvoidancePolicies) {
             chk::Scenario scenario = *base;
-            if (!adaptConfigToPolicy(scenario.config, policy))
+            if (!hw::applyShootdownPolicy(scenario.config, policy))
                 continue;
             const chk::TrialResult r =
                 explorer.runTrial(scenario, SchedulePerturber{});

@@ -965,6 +965,37 @@ TEST(HwDeathTest, ExhaustedPhysMemPanics)
     EXPECT_DEATH(mem.allocFrame(), "out of physical frames");
 }
 
+TEST(MachineConfigTest, ApplyShootdownPolicySharesValidateRule)
+{
+    MachineConfig lazy;
+    EXPECT_TRUE(applyShootdownPolicy(lazy, ShootdownPolicy::LazyAsid));
+    EXPECT_TRUE(lazy.tlb_asid_tags);
+
+    // Interlocked ref/mod already satisfies delayed flush; adding
+    // no-writeback on top would be an invalid TLB design.
+    MachineConfig interlocked;
+    interlocked.tlb_interlocked_refmod = true;
+    EXPECT_TRUE(applyShootdownPolicy(interlocked,
+                                     ShootdownPolicy::DelayedFlush));
+    EXPECT_FALSE(interlocked.tlb_no_refmod_writeback);
+    interlocked.validate(); // Must not exit.
+
+    MachineConfig untimed;
+    untimed.timer_period = 0;
+    EXPECT_FALSE(
+        applyShootdownPolicy(untimed, ShootdownPolicy::DelayedFlush));
+    EXPECT_EXIT(untimed.validate(), ::testing::ExitedWithCode(1),
+                "timer interrupts");
+
+    MachineConfig remote;
+    remote.tlb_remote_invalidate = true;
+    remote.tlb_no_refmod_writeback = true;
+    EXPECT_TRUE(applyShootdownPolicy(remote, ShootdownPolicy::DelayedFlush));
+    EXPECT_FALSE(applyShootdownPolicy(remote, ShootdownPolicy::Batched));
+    EXPECT_EXIT(remote.validate(), ::testing::ExitedWithCode(1),
+                "bypasses the responder protocol");
+}
+
 TEST(MachineConfigTest, DefaultsAreValid)
 {
     MachineConfig config;

@@ -6,10 +6,10 @@
  *
  * Each (scenario, policy) pair re-runs the scenario's unperturbed
  * baseline trial with the policy swapped in (plus whatever TLB
- * features the policy requires -- the same rules
- * MachineConfig::validate() enforces). The trial must finish within
- * its liveness bound, hold the scenario's safety predicate, and draw
- * zero oracle violations. Scenario-specific coverage is NOT asserted
+ * features the policy requires, via hw::applyShootdownPolicy); pairs
+ * whose hardware cannot run the policy are not instantiated. The
+ * trial must finish within its liveness bound, hold the scenario's
+ * safety predicate, and draw zero oracle violations. Scenario-specific coverage is NOT asserted
  * here: coverage targets the path the scenario was written to stress
  * under its own configuration, and a policy that elides IPIs or
  * defers flushes legitimately steers execution around it.
@@ -51,47 +51,23 @@ constexpr hw::ShootdownPolicy kAvoidancePolicies[] = {
 };
 
 /**
- * Retarget @p config at @p policy, adding the TLB features the policy
- * needs. Returns false when the combination is architecturally
- * incompatible -- the same conditions MachineConfig::validate()
- * rejects:
- *
- *  - the avoidance policies layer over the shootdown strategy, so
- *    delayed-flush configurations are out;
- *  - tlb_remote_invalidate bypasses the responder protocol the
- *    policies hook;
- *  - reuse-elide proves pages uncached via reference bits, which
- *    tlb_no_refmod_writeback machines never write back.
+ * Every (scenario, avoidance policy) pair whose hardware can run the
+ * policy: hw::applyShootdownPolicy() adds the TLB features the policy
+ * implies and rejects the rest (e.g. any avoidance policy on
+ * tlb_remote_invalidate, reuse-elide without ref/mod writeback).
  */
-bool
-adaptConfigToPolicy(hw::MachineConfig &config,
-                    hw::ShootdownPolicy policy)
+std::vector<std::tuple<std::string, hw::ShootdownPolicy>>
+runnablePairs()
 {
-    if (config.consistency_strategy ==
-        hw::ConsistencyStrategy::DelayedFlush)
-        return false;
-    if (config.tlb_remote_invalidate)
-        return false;
-    if (policy == hw::ShootdownPolicy::ReuseElide &&
-        config.tlb_no_refmod_writeback)
-        return false;
-
-    config.shootdown_policy = policy;
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
-    config.validate();
-    return true;
-}
-
-std::vector<std::string>
-scenarioNames()
-{
-    std::vector<std::string> names;
-    for (const chk::Scenario &s : chk::builtinScenarios())
-        names.push_back(s.name);
-    return names;
+    std::vector<std::tuple<std::string, hw::ShootdownPolicy>> pairs;
+    for (const chk::Scenario &s : chk::builtinScenarios()) {
+        for (const hw::ShootdownPolicy policy : kAvoidancePolicies) {
+            hw::MachineConfig config = s.config;
+            if (hw::applyShootdownPolicy(config, policy))
+                pairs.emplace_back(s.name, policy);
+        }
+    }
+    return pairs;
 }
 
 class PolicyScenario
@@ -110,10 +86,7 @@ TEST_P(PolicyScenario, BaselineTrialStaysOracleClean)
 
     chk::Scenario scenario = *found;
     const hw::ShootdownPolicy policy = std::get<1>(GetParam());
-    if (!adaptConfigToPolicy(scenario.config, policy)) {
-        GTEST_SKIP() << "scenario hardware is incompatible with "
-                     << hw::shootdownPolicyName(policy);
-    }
+    ASSERT_TRUE(hw::applyShootdownPolicy(scenario.config, policy));
 
     const chk::Explorer explorer;
     const chk::TrialResult res =
@@ -131,8 +104,7 @@ TEST_P(PolicyScenario, BaselineTrialStaysOracleClean)
 
 INSTANTIATE_TEST_SUITE_P(
     Chk, PolicyScenario,
-    ::testing::Combine(::testing::ValuesIn(scenarioNames()),
-                       ::testing::ValuesIn(kAvoidancePolicies)),
+    ::testing::ValuesIn(runnablePairs()),
     [](const ::testing::TestParamInfo<
         std::tuple<std::string, hw::ShootdownPolicy>> &info) {
         std::string name = std::get<0>(info.param);
@@ -153,8 +125,8 @@ parthenonPolicyDigest(hw::ShootdownPolicy policy)
     setLogQuiet(true);
     hw::MachineConfig config;
     config.seed = 0x9a27e70;
-    const bool ok = adaptConfigToPolicy(config, policy);
-    EXPECT_TRUE(ok); // The default config carries no conflicts.
+    // The default config carries no conflicts.
+    EXPECT_TRUE(hw::applyShootdownPolicy(config, policy));
     vm::Kernel kernel(config);
     apps::Parthenon::Params params;
     params.runs = 2;

@@ -221,5 +221,35 @@ TEST(ServingWorkload, RunsOnNumaMachines)
     EXPECT_TRUE(kernel.pmaps().auditTlbConsistency().empty());
 }
 
+// ---------------------------------------------------------------------
+// Invalid parameters fail with fatal(), never hang or abort
+// ---------------------------------------------------------------------
+
+/** Run the serving workload with @p params on the small machine. */
+void
+runServing(const apps::Serving::Params &params)
+{
+    setLogQuiet(true);
+    vm::Kernel kernel(smallConfig());
+    apps::Serving app(params);
+    app.execute(kernel);
+}
+
+TEST(ServingDeathTest, ZeroConcurrencyIsFatal)
+{
+    apps::Serving::Params params = smallParams();
+    params.concurrency = 0;
+    EXPECT_EXIT(runServing(params), ::testing::ExitedWithCode(1),
+                "concurrency must be at least 1");
+}
+
+TEST(ServingDeathTest, TenantLargerThanMemoryIsFatal)
+{
+    apps::Serving::Params params = smallParams();
+    params.ws_pages = 100000;
+    EXPECT_EXIT(runServing(params), ::testing::ExitedWithCode(1),
+                "exceeds the machine's 16384 physical frames");
+}
+
 } // namespace
 } // namespace mach

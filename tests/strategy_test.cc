@@ -47,8 +47,7 @@ delayedConfig()
     setLogQuiet(true);
     hw::MachineConfig config;
     config.ncpus = 8;
-    config.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
-    config.tlb_no_refmod_writeback = true;
+    hw::applyShootdownPolicy(config, hw::ShootdownPolicy::DelayedFlush);
     return config;
 }
 
@@ -105,7 +104,7 @@ TEST(DelayedFlush, MappingChangeWaitsOutTheFlushes)
 TEST(DelayedFlush, RequiresNoWritebackTlb)
 {
     hw::MachineConfig config;
-    config.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
+    config.shootdown_policy = hw::ShootdownPolicy::DelayedFlush;
     EXPECT_EXIT(config.validate(), ::testing::ExitedWithCode(1),
                 "no_refmod_writeback");
 }

@@ -354,8 +354,7 @@ TEST(FeatureCombo, DelayedFlushWithPageout)
 {
     hw::MachineConfig config;
     config.ncpus = 4;
-    config.consistency_strategy = hw::ConsistencyStrategy::DelayedFlush;
-    config.tlb_no_refmod_writeback = true;
+    hw::applyShootdownPolicy(config, hw::ShootdownPolicy::DelayedFlush);
     config.phys_frames = 128;
     config.pageout_low_frames = 80;
     config.pagein_latency = 2 * kMsec;

@@ -243,12 +243,7 @@ TEST_P(VmFuzzPolicy, MatchesReferenceModel)
     hw::MachineConfig config;
     config.ncpus = 4;
     config.seed = seed;
-    config.shootdown_policy = policy;
-    // The TLB features each policy requires (MachineConfig::validate).
-    if (policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    ASSERT_TRUE(hw::applyShootdownPolicy(config, policy));
     runFuzzAgainstModel(config, seed);
 }
 

@@ -10,7 +10,7 @@
  *   machsim --app camelot --ncpus 32 --transactions 300
  *   machsim --app mach-build --lazy off
  *   machsim --app agora --trace shootdown,pmap
- *   machsim --app parthenon --strategy delayed-flush
+ *   machsim --app parthenon --shootdown-policy delayed-flush
  *   machsim --app tester --pools 4 --ncpus 64
  *
  * Run `machsim --help` for the full flag list.
@@ -85,9 +85,8 @@ struct Options
     bool no_writeback = false;
     bool remote_invalidate = false;
     bool asid_tags = false;
-    bool delayed_flush = false;
-    /** Shootdown-avoidance policy (baseline | lazy-asid | batched |
-     *  range-flush | reuse-elide). */
+    /** TLB consistency policy (baseline | lazy-asid | batched |
+     *  range-flush | reuse-elide | delayed-flush). */
     std::string shootdown_policy = "baseline";
     unsigned tlb_assoc = 0;
     /** Disable the host-side L0/walk caches (timing-neutral knob). */
@@ -177,17 +176,17 @@ usage()
         "  --seed N            deterministic seed\n"
         "  --lazy on|off       lazy evaluation (Table 1 toggle)\n"
         "  --no-shootdown      disable the algorithm (negative test)\n"
-        "  --strategy S        shootdown | delayed-flush (Section 3)\n"
         "  --hipri-ipi         Section 9 high-priority sw interrupt\n"
         "  --multicast / --broadcast     Section 9 IPI options\n"
         "  --software-reload / --no-writeback / --remote-invalidate\n"
         "                      Section 9 TLB options\n"
         "  --asid-tags         Section 10 tagged-TLB extension\n"
-        "  --shootdown-policy P  avoidance policy layered over the\n"
-        "                      Figure 1 algorithm: baseline |\n"
-        "                      lazy-asid (implies --asid-tags) |\n"
-        "                      batched | range-flush | reuse-elide\n"
-        "                      (implies --software-reload); see\n"
+        "  --shootdown-policy P  TLB consistency policy: baseline\n"
+        "                      (Figure 1) | lazy-asid (implies\n"
+        "                      --asid-tags) | batched | range-flush |\n"
+        "                      reuse-elide (implies --software-reload)\n"
+        "                      | delayed-flush (Section 3 technique 2;\n"
+        "                      implies --no-writeback); see\n"
         "                      docs/ALGORITHM.md\n"
         "  --tlb-assoc N       set-associative TLB with N ways (0 =\n"
         "                      fully associative, the Multimax default)\n"
@@ -377,9 +376,6 @@ parse(int argc, char **argv, Options *opt)
             opt->lazy = std::strcmp(need_value(i), "off") != 0;
         } else if (flag == "--no-shootdown") {
             opt->shootdown = false;
-        } else if (flag == "--strategy") {
-            opt->delayed_flush =
-                std::strcmp(need_value(i), "delayed-flush") == 0;
         } else if (flag == "--hipri-ipi") {
             opt->high_priority_ipi = true;
         } else if (flag == "--multicast") {
@@ -483,11 +479,6 @@ toConfig(const Options &opt)
         config.host_walk_cache = false;
     }
     config.obs_record_cost = opt.obs_cost;
-    if (opt.delayed_flush) {
-        config.consistency_strategy =
-            hw::ConsistencyStrategy::DelayedFlush;
-        config.tlb_no_refmod_writeback = true;
-    }
     config.numa_nodes = opt.numa_nodes;
     if (opt.cpus_per_node != 0)
         config.ncpus = opt.numa_nodes * opt.cpus_per_node;
@@ -518,19 +509,15 @@ toConfig(const Options &opt)
     config.devices = opt.devices;
     if (opt.iotlb_entries != 0)
         config.iotlb_entries = opt.iotlb_entries;
-    if (!hw::parseShootdownPolicy(opt.shootdown_policy,
-                                  &config.shootdown_policy)) {
+    hw::ShootdownPolicy policy;
+    if (!hw::parseShootdownPolicy(opt.shootdown_policy, &policy)) {
         fatal("unknown --shootdown-policy '%s' (baseline | lazy-asid "
-              "| batched | range-flush | reuse-elide)",
+              "| batched | range-flush | reuse-elide | delayed-flush)",
               opt.shootdown_policy.c_str());
     }
-    // Each policy's hardware prerequisite is implied rather than
-    // demanded: lazy-asid needs a tagged TLB, reuse-elide needs
-    // lock-aware (software) reload.
-    if (config.shootdown_policy == hw::ShootdownPolicy::LazyAsid)
-        config.tlb_asid_tags = true;
-    if (config.shootdown_policy == hw::ShootdownPolicy::ReuseElide)
-        config.tlb_software_reload = true;
+    // The policy's hardware prerequisites are implied rather than
+    // demanded; a conflict with the other flags fails validate().
+    hw::applyShootdownPolicy(config, policy);
     return config;
 }
 
