@@ -10,9 +10,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "apps/agora.hh"
@@ -191,6 +195,96 @@ printRuntime(const AppRun &run)
     std::printf("  %-10s virtual runtime %6.1f s\n", run.label.c_str(),
                 static_cast<double>(run.runtime) / kSec);
 }
+
+/** How tools/perf_smoke.py gates a BENCH_*.json metric. */
+enum class MetricKind
+{
+    Sim,        ///< Deterministic simulated value: exact match.
+    HostHigher, ///< Host measurement, higher is better: within tolerance.
+    HostLower,  ///< Host measurement, lower is better: within tolerance.
+    Info,       ///< Reported for the record, never gated.
+};
+
+/** A MetricKind's name in the "kinds" object. */
+inline const char *
+metricKindName(MetricKind kind)
+{
+    static const char *names[] = {"sim", "host-higher", "host-lower",
+                                  "info"};
+    return names[static_cast<unsigned>(kind)];
+}
+
+/**
+ * The one BENCH_*.json schema: {"bench", "scale", "kinds", "results"}.
+ * "results" has one row per cell key mapping metric names to numbers;
+ * "kinds" maps every metric name to its MetricKind, so the gate reads
+ * how to compare a metric from the file that reports it.
+ */
+class JsonReport
+{
+  public:
+    JsonReport(std::string bench, unsigned scale)
+        : bench_(std::move(bench)), scale_(scale)
+    {
+    }
+
+    /** Start the results row @p key; add() fills the latest row. */
+    void row(std::string key) { rows_.emplace_back(std::move(key), ""); }
+
+    /**
+     * Add @p metric to the latest row: integers print as %llu,
+     * floating point as %.3f. One metric name has one kind.
+     */
+    template <typename T>
+    void add(const std::string &metric, MetricKind kind, T value)
+    {
+        static_assert(std::is_arithmetic_v<T>);
+        MACH_ASSERT(!rows_.empty());
+        const MetricKind declared = kinds_.emplace(metric, kind).first->second;
+        if (declared != kind)
+            fatal("%s: metric %s declared both %s and %s", bench_.c_str(),
+                  metric.c_str(), metricKindName(declared),
+                  metricKindName(kind));
+        char text[512];
+        if constexpr (std::is_integral_v<T>)
+            std::snprintf(text, sizeof(text), "%llu",
+                          static_cast<unsigned long long>(value));
+        else
+            std::snprintf(text, sizeof(text), "%.3f",
+                          static_cast<double>(value));
+        std::string &body = rows_.back().second;
+        body += (body.empty() ? "\"" : ", \"") + metric + "\": " + text;
+    }
+
+    /** Write the document to @p path; fatal() when it cannot. */
+    void write(const std::string &path) const
+    {
+        std::FILE *out = std::fopen(path.c_str(), "w");
+        if (out == nullptr)
+            fatal("%s: cannot write %s", bench_.c_str(), path.c_str());
+        std::fprintf(out, "{\n  \"bench\": \"%s\",\n  \"scale\": %u,\n"
+                          "  \"kinds\": {\n",
+                     bench_.c_str(), scale_);
+        for (auto it = kinds_.begin(); it != kinds_.end(); ++it)
+            std::fprintf(out, "    \"%s\": \"%s\"%s\n", it->first.c_str(),
+                         metricKindName(it->second),
+                         std::next(it) != kinds_.end() ? "," : "");
+        std::fprintf(out, "  },\n  \"results\": {\n");
+        for (std::size_t i = 0; i < rows_.size(); ++i)
+            std::fprintf(out, "    \"%s\": {%s}%s\n",
+                         rows_[i].first.c_str(), rows_[i].second.c_str(),
+                         i + 1 < rows_.size() ? "," : "");
+        std::fprintf(out, "  }\n}\n");
+        std::fclose(out);
+    }
+
+  private:
+    std::string bench_;
+    unsigned scale_;
+    std::map<std::string, MetricKind> kinds_;
+    /** (cell key, the row's comma-separated "metric": value pairs). */
+    std::vector<std::pair<std::string, std::string>> rows_;
+};
 
 } // namespace mach::bench
 

@@ -19,9 +19,10 @@
  * processor IPIs, so the device-command traffic is the part of the
  * cost no policy can elide.
  *
- * Results are deterministic for a given scale; the JSON written to
- * BENCH_device.json is a committable baseline that CI archives per
- * run.
+ * Results are deterministic for a given scale, so the JSON written to
+ * BENCH_device.json is a committable baseline: every metric is
+ * declared sim, and tools/perf_smoke.py requires a fresh run to match
+ * it exactly.
  */
 
 #include "bench_common.hh"
@@ -186,49 +187,6 @@ hitPct(const Cell &cell)
                  : 0.0;
 }
 
-void
-writeJson(const Cell cells[][kNumPolicies], unsigned scale)
-{
-    std::FILE *out = std::fopen("BENCH_device.json", "w");
-    if (out == nullptr)
-        fatal("device_ablations: cannot write BENCH_device.json");
-    std::fprintf(out,
-                 "{\n  \"bench\": \"device_ablations\",\n"
-                 "  \"scale\": %u,\n  \"results\": {\n",
-                 scale);
-    for (unsigned d = 0; d < kNumDeviceCounts; ++d) {
-        for (unsigned p = 0; p < kNumPolicies; ++p) {
-            const Cell &cell = cells[d][p];
-            std::fprintf(
-                out,
-                "    \"%s__dev%u\": {\"clean\": %d, "
-                "\"latency_usec\": %.3f, \"latency_p99_us\": %llu, "
-                "\"shootdowns\": %llu, \"ipis\": %llu, "
-                "\"device_commands\": %llu, "
-                "\"device_sync_waits\": %llu, \"dma_writes\": %llu, "
-                "\"dma_aborts\": %llu, \"iommu_walks\": %llu, "
-                "\"iotlb_hit_pct\": %.3f}%s\n",
-                hw::shootdownPolicyName(kPolicies[p]),
-                kDeviceCounts[d], cell.clean ? 1 : 0, cell.mean_usec,
-                static_cast<unsigned long long>(cell.p99_usec),
-                static_cast<unsigned long long>(cell.events),
-                static_cast<unsigned long long>(cell.ipis),
-                static_cast<unsigned long long>(cell.device_commands),
-                static_cast<unsigned long long>(
-                    cell.device_sync_waits),
-                static_cast<unsigned long long>(cell.dma_writes),
-                static_cast<unsigned long long>(cell.dma_aborts),
-                static_cast<unsigned long long>(cell.iommu_walks),
-                hitPct(cell),
-                d + 1 == kNumDeviceCounts && p + 1 == kNumPolicies
-                    ? ""
-                    : ",");
-        }
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-}
-
 } // namespace
 
 int
@@ -290,7 +248,27 @@ main()
             hitPct(cell));
     }
 
-    writeJson(cells, scale);
+    constexpr MetricKind sim = MetricKind::Sim;
+    JsonReport report("device_ablations", scale);
+    for (unsigned d = 0; d < kNumDeviceCounts; ++d) {
+        for (unsigned p = 0; p < kNumPolicies; ++p) {
+            const Cell &cell = cells[d][p];
+            report.row(std::string(hw::shootdownPolicyName(kPolicies[p])) +
+                       "__dev" + std::to_string(kDeviceCounts[d]));
+            report.add("clean", sim, cell.clean);
+            report.add("latency_usec", sim, cell.mean_usec);
+            report.add("latency_p99_us", sim, cell.p99_usec);
+            report.add("shootdowns", sim, cell.events);
+            report.add("ipis", sim, cell.ipis);
+            report.add("device_commands", sim, cell.device_commands);
+            report.add("device_sync_waits", sim, cell.device_sync_waits);
+            report.add("dma_writes", sim, cell.dma_writes);
+            report.add("dma_aborts", sim, cell.dma_aborts);
+            report.add("iommu_walks", sim, cell.iommu_walks);
+            report.add("iotlb_hit_pct", sim, hitPct(cell));
+        }
+    }
+    report.write("BENCH_device.json");
     std::printf("\nwrote BENCH_device.json\n");
 
     for (unsigned d = 0; d < kNumDeviceCounts; ++d) {

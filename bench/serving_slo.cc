@@ -13,9 +13,9 @@
  * single timeline event.
  *
  * Simulated numbers are deterministic for a given scale, so the JSON
- * written to BENCH_serving.json is a committable baseline;
- * tools/perf_smoke.py regresses fresh runs against it and CI archives
- * it per run.
+ * written to BENCH_serving.json is a committable baseline: every
+ * metric is declared sim, and tools/perf_smoke.py requires a fresh
+ * run to match it exactly.
  */
 
 #include "bench_common.hh"
@@ -125,58 +125,6 @@ cellKey(hw::ShootdownPolicy policy, unsigned tenants,
            std::to_string(tenants) + "__" + shape.label;
 }
 
-void
-writeJson(const Cell cells[][kNumTenantCounts][kNumShapes],
-          unsigned scale)
-{
-    std::FILE *out = std::fopen("BENCH_serving.json", "w");
-    if (out == nullptr)
-        fatal("serving_slo: cannot write BENCH_serving.json");
-    std::fprintf(out,
-                 "{\n  \"bench\": \"serving_slo\",\n"
-                 "  \"scale\": %u,\n  \"results\": {\n",
-                 scale);
-    for (unsigned p = 0; p < kNumPolicies; ++p) {
-        for (unsigned t = 0; t < kNumTenantCounts; ++t) {
-            for (unsigned s = 0; s < kNumShapes; ++s) {
-                const Cell &cell = cells[p][t][s];
-                const bool last = p + 1 == kNumPolicies &&
-                                  t + 1 == kNumTenantCounts &&
-                                  s + 1 == kNumShapes;
-                std::fprintf(
-                    out,
-                    "    \"%s\": {\"request_p50_us\": %llu, "
-                    "\"request_p99_us\": %llu, \"request_p999_us\": "
-                    "%llu, \"shootdown_p50_us\": %llu, "
-                    "\"shootdown_p99_us\": %llu, "
-                    "\"shootdown_p999_us\": %llu, \"requests\": %llu, "
-                    "\"shootdowns\": %llu, \"ipis\": %llu, "
-                    "\"runtime_ms\": %.3f}%s\n",
-                    cellKey(kPolicies[p], kTenantCounts[t],
-                            kShapes[s])
-                        .c_str(),
-                    static_cast<unsigned long long>(cell.request.p50),
-                    static_cast<unsigned long long>(cell.request.p99),
-                    static_cast<unsigned long long>(
-                        cell.request.p999),
-                    static_cast<unsigned long long>(
-                        cell.shootdown.p50),
-                    static_cast<unsigned long long>(
-                        cell.shootdown.p99),
-                    static_cast<unsigned long long>(
-                        cell.shootdown.p999),
-                    static_cast<unsigned long long>(
-                        cell.request.count),
-                    static_cast<unsigned long long>(cell.shootdowns),
-                    static_cast<unsigned long long>(cell.ipis),
-                    cell.runtime_ms, last ? "" : ",");
-            }
-        }
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
-}
-
 } // namespace
 
 int
@@ -254,7 +202,29 @@ main()
         }
     }
 
-    writeJson(cells, scale);
+    constexpr MetricKind sim = MetricKind::Sim;
+    JsonReport report("serving_slo", scale);
+    for (unsigned p = 0; p < kNumPolicies; ++p) {
+        for (unsigned t = 0; t < kNumTenantCounts; ++t) {
+            for (unsigned s = 0; s < kNumShapes; ++s) {
+                const Cell &cell = cells[p][t][s];
+                report.row(cellKey(kPolicies[p], kTenantCounts[t],
+                                   kShapes[s]));
+                report.add("request_p50_us", sim, cell.request.p50);
+                report.add("request_p99_us", sim, cell.request.p99);
+                report.add("request_p999_us", sim, cell.request.p999);
+                report.add("shootdown_p50_us", sim, cell.shootdown.p50);
+                report.add("shootdown_p99_us", sim, cell.shootdown.p99);
+                report.add("shootdown_p999_us", sim,
+                           cell.shootdown.p999);
+                report.add("requests", sim, cell.request.count);
+                report.add("shootdowns", sim, cell.shootdowns);
+                report.add("ipis", sim, cell.ipis);
+                report.add("runtime_ms", sim, cell.runtime_ms);
+            }
+        }
+    }
+    report.write("BENCH_serving.json");
     std::printf("\nwrote BENCH_serving.json\n");
 
     if (!all_clean) {

@@ -38,8 +38,9 @@
  * aggregate.
  *
  * Simulated numbers are deterministic for a given scale, so the JSON
- * written to BENCH_strategy.json is a committable baseline; CI
- * archives it per run.
+ * written to BENCH_strategy.json is a committable baseline: every
+ * metric is declared sim, and tools/perf_smoke.py requires a fresh
+ * run to match it exactly.
  */
 
 #include "bench_common.hh"
@@ -61,10 +62,34 @@ namespace
 
 // ---- Part 1: Section 3, shootdown vs delayed flush -------------------
 
-struct StrategyResult
+/** Per-policy Section 5.1 tester run: safety smoke + reprotect cost. */
+struct TesterCell
 {
     bool consistent = false;
-    double op_latency_usec = 0.0;
+    double reprotect_usec = 0.0;
+};
+
+TesterCell
+runTester(hw::ShootdownPolicy policy)
+{
+    hw::MachineConfig config;
+    hw::applyShootdownPolicy(config, policy);
+    config.seed = 0x57a7e6;
+    vm::Kernel kernel(config);
+    apps::ConsistencyTester tester(
+        {.children = 8, .warmup = 30 * kMsec});
+    const apps::WorkloadResult result = tester.execute(kernel);
+    TesterCell cell;
+    cell.consistent = tester.consistent();
+    cell.reprotect_usec =
+        result.analysis.user_initiator.time_usec.mean();
+    return cell;
+}
+
+struct StrategyResult
+{
+    /** Per-operation latency: the tester's reprotect, 8 processors. */
+    TesterCell tester;
     double agora_runtime_ms = 0.0;
     std::uint64_t tlb_misses = 0;
     std::uint64_t full_flushes = 0;
@@ -74,36 +99,22 @@ StrategyResult
 measure(hw::ShootdownPolicy policy)
 {
     StrategyResult out;
-    hw::MachineConfig config;
-    config.seed = 0x57a7e6;
-    hw::applyShootdownPolicy(config, policy);
-
-    // Per-operation latency: the Section 5.1 tester's single
-    // reprotect, 8 processors involved.
-    {
-        vm::Kernel kernel(config);
-        apps::ConsistencyTester tester(
-            {.children = 8, .warmup = 30 * kMsec});
-        const apps::WorkloadResult result = tester.execute(kernel);
-        out.consistent = tester.consistent();
-        out.op_latency_usec =
-            result.analysis.user_initiator.time_usec.mean();
-    }
+    out.tester = runTester(policy);
 
     // Whole-application effect: Agora re-reads its shared regions, so
     // the periodic whole-buffer flushes of technique 2 show up as
     // extra TLB misses (refill traffic) on top of the flush cost.
-    {
-        vm::Kernel kernel(config);
-        apps::Agora app(apps::Agora::Params{});
-        const apps::WorkloadResult result = app.execute(kernel);
-        out.agora_runtime_ms =
-            static_cast<double>(result.virtual_runtime) / kMsec;
-        for (CpuId id = 0; id < kernel.machine().ncpus(); ++id) {
-            out.tlb_misses += kernel.machine().cpu(id).tlb().misses;
-            out.full_flushes +=
-                kernel.machine().cpu(id).tlb().full_flushes;
-        }
+    hw::MachineConfig config;
+    config.seed = 0x57a7e6;
+    hw::applyShootdownPolicy(config, policy);
+    vm::Kernel kernel(config);
+    apps::Agora app(apps::Agora::Params{});
+    const apps::WorkloadResult result = app.execute(kernel);
+    out.agora_runtime_ms =
+        static_cast<double>(result.virtual_runtime) / kMsec;
+    for (CpuId id = 0; id < kernel.machine().ncpus(); ++id) {
+        out.tlb_misses += kernel.machine().cpu(id).tlb().misses;
+        out.full_flushes += kernel.machine().cpu(id).tlb().full_flushes;
     }
     return out;
 }
@@ -125,22 +136,22 @@ runStrategyPart()
                 "consistent", "reprotect(us)", "agora(ms)",
                 "TLB misses", "full flushes");
     std::printf("%-16s %10s %14.0f %12.0f %12llu %12llu\n",
-                "shootdown", shoot.consistent ? "yes" : "NO",
-                shoot.op_latency_usec, shoot.agora_runtime_ms,
+                "shootdown", shoot.tester.consistent ? "yes" : "NO",
+                shoot.tester.reprotect_usec, shoot.agora_runtime_ms,
                 static_cast<unsigned long long>(shoot.tlb_misses),
                 static_cast<unsigned long long>(shoot.full_flushes));
     std::printf("%-16s %10s %14.0f %12.0f %12llu %12llu\n",
-                "delayed-flush", delayed.consistent ? "yes" : "NO",
-                delayed.op_latency_usec, delayed.agora_runtime_ms,
+                "delayed-flush", delayed.tester.consistent ? "yes" : "NO",
+                delayed.tester.reprotect_usec, delayed.agora_runtime_ms,
                 static_cast<unsigned long long>(delayed.tlb_misses),
                 static_cast<unsigned long long>(delayed.full_flushes));
 
-    if (!shoot.consistent || !delayed.consistent)
+    if (!shoot.tester.consistent || !delayed.tester.consistent)
         return 1;
     std::printf("\nmapping-change latency penalty of delayed flush: "
                 "%.1fx\n",
-                delayed.op_latency_usec /
-                    std::max(1.0, shoot.op_latency_usec));
+                delayed.tester.reprotect_usec /
+                    std::max(1.0, shoot.tester.reprotect_usec));
     std::printf("(the paper, Section 3: Mach relies on shootdown "
                 "because the additional buffer\nflushes required by "
                 "the delay technique can be expensive)\n");
@@ -396,30 +407,6 @@ runCell(unsigned shape, const hw::MachineConfig &config)
     return cell;
 }
 
-/** Per-policy Section 5.1 tester run: safety smoke + reprotect cost. */
-struct TesterCell
-{
-    bool consistent = false;
-    double reprotect_usec = 0.0;
-};
-
-TesterCell
-runTester(hw::ShootdownPolicy policy)
-{
-    hw::MachineConfig config;
-    hw::applyShootdownPolicy(config, policy);
-    config.seed = 0x57a7e6;
-    vm::Kernel kernel(config);
-    apps::ConsistencyTester tester(
-        {.children = 8, .warmup = 30 * kMsec});
-    const apps::WorkloadResult result = tester.execute(kernel);
-    TesterCell cell;
-    cell.consistent = tester.consistent();
-    cell.reprotect_usec =
-        result.analysis.user_initiator.time_usec.mean();
-    return cell;
-}
-
 // ---- Part 2b: per-request attribution by policy ----------------------
 
 /** One policy's serving-tier run, decomposed per request. */
@@ -474,84 +461,6 @@ savedPct(std::uint64_t baseline, std::uint64_t got)
            (static_cast<double>(baseline) -
             static_cast<double>(got)) /
            static_cast<double>(baseline);
-}
-
-void
-writeJson(const Cell cells[][kNumShapes], const TesterCell *testers,
-          const ServingCell *servings, unsigned scale)
-{
-    std::FILE *out = std::fopen("BENCH_strategy.json", "w");
-    if (out == nullptr)
-        fatal("strategy_comparison: cannot write "
-              "BENCH_strategy.json");
-    std::fprintf(out,
-                 "{\n  \"bench\": \"strategy_comparison\",\n"
-                 "  \"scale\": %u,\n  \"results\": {\n",
-                 scale);
-    for (unsigned p = 0; p < kNumPolicies; ++p) {
-        const char *policy = hw::shootdownPolicyName(kPolicies[p]);
-        std::fprintf(out,
-                     "    \"%s__tester\": {\"consistent\": %d, "
-                     "\"reprotect_usec\": %.3f},\n",
-                     policy, testers[p].consistent ? 1 : 0,
-                     testers[p].reprotect_usec);
-        for (unsigned s = 0; s < kNumShapes; ++s) {
-            const Cell &cell = cells[p][s];
-            const xpr::MachineStats &st = cell.stats;
-            std::fprintf(
-                out,
-                "    \"%s__%s\": {\"ipis\": %llu, "
-                "\"ipis_saved_pct\": %.3f, \"shootdowns\": %llu, "
-                "\"latency_usec\": %.3f, \"latency_p99_us\": %llu, "
-                "\"latency_p999_us\": %llu, \"runtime_ms\": %.3f, "
-                "\"ipis_elided\": %llu, \"flushes_deferred\": %llu, "
-                "\"actions_merged\": %llu, \"range_invalidates\": "
-                "%llu, \"full_space_flushes\": %llu, "
-                "\"reuse_elisions\": %llu}%s\n",
-                policy, shapeLabel(s),
-                static_cast<unsigned long long>(st.ipis_sent),
-                savedPct(cells[0][s].stats.ipis_sent, st.ipis_sent),
-                static_cast<unsigned long long>(
-                    st.shootdowns_initiated),
-                cell.latency_usec,
-                static_cast<unsigned long long>(
-                    cell.latency_p99_usec),
-                static_cast<unsigned long long>(
-                    cell.latency_p999_usec),
-                cell.runtime_ms,
-                static_cast<unsigned long long>(st.ipis_elided),
-                static_cast<unsigned long long>(st.flushes_deferred),
-                static_cast<unsigned long long>(st.actions_merged),
-                static_cast<unsigned long long>(
-                    st.range_invalidates),
-                static_cast<unsigned long long>(
-                    st.full_space_flushes),
-                static_cast<unsigned long long>(st.reuse_elisions),
-                ",");
-        }
-    }
-    for (unsigned p = 0; p < kNumPolicies; ++p) {
-        const ServingCell &serving = servings[p];
-        std::fprintf(
-            out,
-            "    \"%s__serving\": {\"requests\": %llu, "
-            "\"mean_usec\": %.3f, \"p99_us\": %llu",
-            hw::shootdownPolicyName(kPolicies[p]),
-            static_cast<unsigned long long>(serving.requests),
-            serving.mean_usec,
-            static_cast<unsigned long long>(serving.p99_usec));
-        for (unsigned c = 0; c < obs::kReqComponents; ++c) {
-            std::fprintf(
-                out, ", \"%s_usec\": %.3f",
-                obs::reqComponentName(
-                    static_cast<obs::ReqComponent>(c)),
-                serving.component_usec[c]);
-        }
-        std::fprintf(out, "}%s\n",
-                     p + 1 == kNumPolicies ? "" : ",");
-    }
-    std::fprintf(out, "  }\n}\n");
-    std::fclose(out);
 }
 
 int
@@ -695,7 +604,50 @@ runPolicyPart()
         std::printf("\n");
     }
 
-    writeJson(cells, testers, servings, scale);
+    constexpr MetricKind sim = MetricKind::Sim;
+    JsonReport report("strategy_comparison", scale);
+    for (unsigned p = 0; p < kNumPolicies; ++p) {
+        const std::string policy = hw::shootdownPolicyName(kPolicies[p]);
+        report.row(policy + "__tester");
+        report.add("consistent", sim, testers[p].consistent);
+        report.add("reprotect_usec", sim, testers[p].reprotect_usec);
+        for (unsigned s = 0; s < kNumShapes; ++s) {
+            const Cell &cell = cells[p][s];
+            const xpr::MachineStats &st = cell.stats;
+            report.row(policy + "__" + shapeLabel(s));
+            report.add("ipis", sim, st.ipis_sent);
+            report.add("ipis_saved_pct", sim,
+                       savedPct(cells[0][s].stats.ipis_sent,
+                                st.ipis_sent));
+            report.add("shootdowns", sim, st.shootdowns_initiated);
+            report.add("latency_usec", sim, cell.latency_usec);
+            report.add("latency_p99_us", sim, cell.latency_p99_usec);
+            report.add("latency_p999_us", sim, cell.latency_p999_usec);
+            report.add("runtime_ms", sim, cell.runtime_ms);
+            report.add("ipis_elided", sim, st.ipis_elided);
+            report.add("flushes_deferred", sim, st.flushes_deferred);
+            report.add("actions_merged", sim, st.actions_merged);
+            report.add("range_invalidates", sim, st.range_invalidates);
+            report.add("full_space_flushes", sim,
+                       st.full_space_flushes);
+            report.add("reuse_elisions", sim, st.reuse_elisions);
+        }
+    }
+    for (unsigned p = 0; p < kNumPolicies; ++p) {
+        const ServingCell &serving = servings[p];
+        report.row(std::string(hw::shootdownPolicyName(kPolicies[p])) +
+                   "__serving");
+        report.add("requests", sim, serving.requests);
+        report.add("mean_usec", sim, serving.mean_usec);
+        report.add("p99_us", sim, serving.p99_usec);
+        for (unsigned c = 0; c < obs::kReqComponents; ++c) {
+            report.add(std::string(obs::reqComponentName(
+                           static_cast<obs::ReqComponent>(c))) +
+                           "_usec",
+                       sim, serving.component_usec[c]);
+        }
+    }
+    report.write("BENCH_strategy.json");
     std::printf("\nwrote BENCH_strategy.json\n");
 
     for (unsigned p = 0; p < kNumPolicies; ++p) {

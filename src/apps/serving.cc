@@ -1,11 +1,13 @@
 #include "apps/serving.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <memory>
 #include <vector>
 
 #include "base/logging.hh"
+#include "hw/phys_mem.hh"
 
 namespace mach::apps
 {
@@ -175,18 +177,39 @@ void
 Serving::run(vm::Kernel &kernel, kern::Thread &driver)
 {
     // Parameters that would hang the churn loop below or run the
-    // machine out of frames fail up front instead.
+    // machine out of frames fail up front instead. Up to concurrency
+    // tenants are live at once, each holding its own pages; the
+    // exec server's binary and image are mapped once, and the frames
+    // the kernel already holds stay held.
     if (params_.concurrency == 0)
         fatal("Serving: tenant concurrency must be at least 1");
-    const std::uint64_t footprint = std::uint64_t(params_.ws_pages) +
-                                    kColdPages + params_.binary_pages;
-    const std::uint32_t frames = kernel.machine().cfg().phys_frames;
-    if (footprint > frames) {
-        fatal("Serving: one tenant's footprint (%u working-set + %u "
-              "cold + %u binary pages) exceeds the machine's %u "
-              "physical frames",
-              params_.ws_pages, kColdPages, params_.binary_pages,
-              frames);
+    const std::uint64_t live =
+        std::min(params_.tenants, params_.concurrency);
+    const std::uint64_t siblings =
+        std::max(params_.threads_per_tenant, 1u) - 1;
+    const std::uint64_t tenant_pages = std::uint64_t(params_.ws_pages) +
+                                       kColdPages + params_.mmap_pages +
+                                       siblings * kSiblingPages;
+    const std::uint64_t shared_pages =
+        std::uint64_t(params_.binary_pages) + kImagePages;
+    const hw::PhysMem &mem = kernel.machine().mem();
+    const std::uint64_t kernel_frames =
+        mem.totalFrames() - mem.freeFrames();
+    const std::uint64_t footprint =
+        live * tenant_pages + shared_pages + kernel_frames;
+    if (footprint > mem.totalFrames()) {
+        fatal("Serving: %llu live tenants x %llu pages (%u working-set "
+              "+ %u cold + %u burst + %llu sibling) + %llu exec-server "
+              "pages + %llu kernel frames = %llu exceeds the machine's "
+              "%u physical frames",
+              static_cast<unsigned long long>(live),
+              static_cast<unsigned long long>(tenant_pages),
+              params_.ws_pages, kColdPages, params_.mmap_pages,
+              static_cast<unsigned long long>(siblings * kSiblingPages),
+              static_cast<unsigned long long>(shared_pages),
+              static_cast<unsigned long long>(kernel_frames),
+              static_cast<unsigned long long>(footprint),
+              mem.totalFrames());
     }
 
     // ---- The exec server: shared binary + per-fork COW image --------

@@ -251,5 +251,18 @@ TEST(ServingDeathTest, TenantLargerThanMemoryIsFatal)
                 "exceeds the machine's 16384 physical frames");
 }
 
+/** Each tenant fits alone, but eight live ones (machsim's default
+ *  concurrency) need 8 x 4,056 pages of the 16,384 frames. */
+TEST(ServingDeathTest, LiveTenantsLargerThanMemoryIsFatal)
+{
+    apps::Serving::Params params = smallParams();
+    params.tenants = 8;
+    params.concurrency = 8;
+    params.ws_pages = 4000;
+    EXPECT_EXIT(runServing(params), ::testing::ExitedWithCode(1),
+                "8 live tenants x 4056 pages .* exceeds the machine's "
+                "16384 physical frames");
+}
+
 } // namespace
 } // namespace mach

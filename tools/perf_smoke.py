@@ -1,108 +1,112 @@
 #!/usr/bin/env python3
-"""Perf smoke gate: fail CI when the hot paths regress badly.
+"""Bench gate: compare a fresh BENCH_*.json against its committed baseline.
 
-Compares a freshly generated BENCH_host_perf.json against the baseline
-committed at the repo root. Only the steadiest metrics are gated -- raw
-event dispatch throughput, TLB lookup latency, and the end-to-end
-simulation rates of the shootdown storm and the Section 5.2 app suite
-(the two paths the shootdown-policy hooks sit on) -- and only with a
-generous tolerance (default 25%), because shared CI runners are noisy.
-The remaining benchmarks are informational; their history lives in the
-uploaded BENCH_host_perf artifacts.
+Every bench writes one schema (bench::JsonReport, bench/bench_common.hh):
+{"bench", "scale", "kinds": {metric: kind}, "results": {cell: {metric:
+value}}}. The bench that produces a metric declares its kind, and this
+gate reads it from the file:
 
-Also understands the serving-tier SLO baselines (BENCH_serving.json,
-"bench": "serving_slo"): every swept cell's request_p999_us is gated
-lower-is-better against the committed baseline. Those numbers come from
-the deterministic simulator, not the host, so they are immune to runner
-noise; a tail regression there is a behavior change, not jitter.
+  sim          deterministic simulated value: must match exactly
+  host-higher  host measurement, higher is better: >= baseline / tolerance
+  host-lower   host measurement, lower is better: <= baseline * tolerance
+  info         reported for the record, never compared
+
+Both documents must come from the same bench at the same scale and hold
+the same cells and metrics, so a new cell cannot land ungated. When a
+simulated number changes on purpose, re-run the bench and re-commit its
+baseline.
 
 Usage: perf_smoke.py <committed.json> <fresh.json> [--tolerance 1.25]
-Exit status 0 = within tolerance, 1 = regression, 2 = bad input.
+Exit status 0 = pass, 1 = regression or mismatch, 2 = bad input.
 """
 
 import argparse
 import json
 import sys
 
+KINDS = ("sim", "host-higher", "host-lower", "info")
 
-# (benchmark, metric, direction). "higher" means bigger is better.
-GATES = [
-    ("event_queue", "events_per_sec", "higher"),
-    ("tlb_churn", "tlb_lookup_ns", "lower"),
-    ("shootdown_storm", "sim_us_per_host_ms", "higher"),
-    ("app_suite", "sim_us_per_host_ms", "higher"),
-]
+
+class BadInput(Exception):
+    """The documents cannot be compared (exit status 2)."""
 
 
 def load(path):
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return doc
+    """Read one report as ((bench, scale), kinds, {(cell, metric): value})."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        ident, kinds = (doc["bench"], doc["scale"]), doc["kinds"]
+        values = {
+            (cell, metric): value
+            for cell, row in doc["results"].items()
+            for metric, value in row.items()
+        }
+        for (cell, metric), value in values.items():
+            if kinds.get(metric) not in KINDS:
+                raise BadInput(f"{path}: {cell}.{metric} has no valid kind")
+            if not isinstance(value, (int, float)):
+                raise BadInput(f"{path}: {cell}.{metric} is not a number")
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as err:
+        raise BadInput(f"cannot read {path}: {err!r}") from err
+    return ident, kinds, values
 
 
-def check(bench, metric, direction, base, now, tolerance):
-    """Print one gate verdict; return True when within tolerance."""
-    if direction == "higher":
-        bound = base / tolerance
-        ok = now >= bound
-        verdict = f"floor {bound:.3f}"
+def check(name, kind, base, now, tolerance):
+    """Return True when one metric passes its kind's gate."""
+    if kind == "info":
+        return True
+    if kind == "sim":
+        ok, bound = now == base, "exact"
+    elif kind == "host-higher":
+        ok, bound = now >= base / tolerance, f"floor {base / tolerance:.3f}"
     else:
-        bound = base * tolerance
-        ok = now <= bound
-        verdict = f"ceiling {bound:.3f}"
-    status = "ok" if ok else "REGRESSED"
-    print(
-        f"perf_smoke: {bench}.{metric}: baseline {base:.3f}, "
-        f"measured {now:.3f} ({verdict}) ... {status}"
-    )
+        ok, bound = now <= base * tolerance, f"ceiling {base * tolerance:.3f}"
+    if kind != "sim" or not ok:
+        print(f"perf_smoke: {name}: baseline {base}, measured {now} "
+              f"({bound}) ... {'ok' if ok else 'FAIL'}")
     return ok
 
 
-def gates_for(doc):
-    """Gate list for a results document, keyed by its "bench" field."""
-    if doc.get("bench") == "serving_slo":
-        # Deterministic simulated tails: every cell in the sweep.
-        return [
-            (cell, "request_p999_us", "lower")
-            for cell in sorted(doc["results"])
-        ]
-    return GATES
+def compare(committed_path, fresh_path, tolerance):
+    """Return how many values fail between the two reports."""
+    base_id, base_kinds, base = load(committed_path)
+    fresh_id, fresh_kinds, now = load(fresh_path)
+    if base_id != fresh_id:
+        raise BadInput(f"(bench, scale) differ: committed {base_id}, "
+                       f"fresh {fresh_id}")
+    failures = 0
+    for side, keys in (("fresh run", base.keys() - now.keys()),
+                       ("baseline", now.keys() - base.keys())):
+        for cell, metric in sorted(keys):
+            print(f"perf_smoke: {cell}.{metric} missing from the {side}")
+            failures += 1
+    for key in sorted(base.keys() & now.keys()):
+        name, kind = ".".join(key), base_kinds[key[1]]
+        if fresh_kinds[key[1]] != kind:
+            print(f"perf_smoke: {name} is {kind} in the baseline but "
+                  f"{fresh_kinds[key[1]]} in the fresh run")
+            failures += 1
+        elif not check(name, kind, base[key], now[key], tolerance):
+            failures += 1
+    print(f"perf_smoke: {base_id[0]}: {len(base)} baseline values, "
+          f"{failures} failure(s)")
+    return failures
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("committed", help="baseline BENCH_host_perf.json")
-    parser.add_argument("fresh", help="just-measured BENCH_host_perf.json")
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=1.25,
-        help="allowed regression factor (default 1.25 = 25%%)",
-    )
+    parser.add_argument("committed", help="baseline BENCH_*.json")
+    parser.add_argument("fresh", help="just-measured BENCH_*.json")
+    parser.add_argument("--tolerance", type=float, default=1.25,
+                        help="host regression factor (default 1.25 = 25%%)")
     args = parser.parse_args()
-
     try:
-        committed_doc = load(args.committed)
-        fresh_doc = load(args.fresh)
-        committed = committed_doc["results"]
-        fresh = fresh_doc["results"]
-    except (OSError, ValueError, KeyError) as err:
-        print(f"perf_smoke: cannot read inputs: {err}", file=sys.stderr)
+        failures = compare(args.committed, args.fresh, args.tolerance)
+    except BadInput as err:
+        print(f"perf_smoke: {err}", file=sys.stderr)
         return 2
-
-    failed = False
-    for bench, metric, direction in gates_for(committed_doc):
-        try:
-            base = committed[bench][metric]
-            now = fresh[bench][metric]
-        except KeyError:
-            print(f"perf_smoke: {bench}.{metric} missing", file=sys.stderr)
-            failed = True
-            continue
-        ok = check(bench, metric, direction, base, now, args.tolerance)
-        failed = failed or not ok
-
-    return 1 if failed else 0
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
