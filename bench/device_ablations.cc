@@ -64,11 +64,7 @@ struct Cell
     std::uint64_t ipis = 0;
     std::uint64_t device_commands = 0;
     std::uint64_t device_sync_waits = 0;
-    std::uint64_t dma_writes = 0;
-    std::uint64_t dma_aborts = 0;
-    std::uint64_t iommu_walks = 0;
-    std::uint64_t iotlb_hits = 0;
-    std::uint64_t iotlb_misses = 0;
+    xpr::DeviceStats dev; ///< Summed over the cell's devices.
     bool clean = false;
 };
 
@@ -167,13 +163,7 @@ measureCell(unsigned devices, hw::ShootdownPolicy policy)
     cell.ipis = stats.ipis_sent;
     cell.device_commands = stats.device_commands;
     cell.device_sync_waits = stats.device_sync_waits;
-    for (const xpr::DeviceStats &d : stats.devices) {
-        cell.dma_writes += d.dma_writes;
-        cell.dma_aborts += d.dma_aborts;
-        cell.iommu_walks += d.iommu_walks;
-        cell.iotlb_hits += d.iotlb_hits;
-        cell.iotlb_misses += d.iotlb_misses;
-    }
+    cell.dev = stats.deviceTotals();
     cell.clean = kernel.pmaps().auditTlbConsistency().empty();
     return cell;
 }
@@ -181,8 +171,8 @@ measureCell(unsigned devices, hw::ShootdownPolicy policy)
 double
 hitPct(const Cell &cell)
 {
-    const std::uint64_t total = cell.iotlb_hits + cell.iotlb_misses;
-    return total ? 100.0 * static_cast<double>(cell.iotlb_hits) /
+    const std::uint64_t total = cell.dev.iotlb_hits + cell.dev.iotlb_misses;
+    return total ? 100.0 * static_cast<double>(cell.dev.iotlb_hits) /
                        static_cast<double>(total)
                  : 0.0;
 }
@@ -242,9 +232,9 @@ main()
             static_cast<unsigned long long>(cell.ipis),
             static_cast<unsigned long long>(cell.device_commands),
             static_cast<unsigned long long>(cell.device_sync_waits),
-            static_cast<unsigned long long>(cell.dma_writes),
-            static_cast<unsigned long long>(cell.dma_aborts),
-            static_cast<unsigned long long>(cell.iommu_walks),
+            static_cast<unsigned long long>(cell.dev.dma_writes),
+            static_cast<unsigned long long>(cell.dev.dma_aborts),
+            static_cast<unsigned long long>(cell.dev.iommu_walks),
             hitPct(cell));
     }
 
@@ -262,9 +252,9 @@ main()
             report.add("ipis", sim, cell.ipis);
             report.add("device_commands", sim, cell.device_commands);
             report.add("device_sync_waits", sim, cell.device_sync_waits);
-            report.add("dma_writes", sim, cell.dma_writes);
-            report.add("dma_aborts", sim, cell.dma_aborts);
-            report.add("iommu_walks", sim, cell.iommu_walks);
+            report.add("dma_writes", sim, cell.dev.dma_writes);
+            report.add("dma_aborts", sim, cell.dev.dma_aborts);
+            report.add("iommu_walks", sim, cell.dev.iommu_walks);
             report.add("iotlb_hit_pct", sim, hitPct(cell));
         }
     }

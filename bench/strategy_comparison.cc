@@ -556,17 +556,8 @@ runPolicyPart()
     std::printf("\navoidance counters, summed over the matrix row\n");
     for (unsigned p = 1; p < kNumPolicies; ++p) {
         xpr::MachineStats sum;
-        for (unsigned s = 0; s < kNumShapes; ++s) {
-            const xpr::MachineStats &st = cells[p][s].stats;
-            sum.ipis_elided += st.ipis_elided;
-            sum.flushes_deferred += st.flushes_deferred;
-            sum.deferred_flushes_applied +=
-                st.deferred_flushes_applied;
-            sum.actions_merged += st.actions_merged;
-            sum.range_invalidates += st.range_invalidates;
-            sum.full_space_flushes += st.full_space_flushes;
-            sum.reuse_elisions += st.reuse_elisions;
-        }
+        for (unsigned s = 0; s < kNumShapes; ++s)
+            sum += cells[p][s].stats;
         std::printf(
             "  %-12s %llu IPIs elided, %llu flushes deferred "
             "(%llu applied), %llu actions merged, %llu range vs "

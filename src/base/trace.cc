@@ -3,9 +3,9 @@
 #include <atomic>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <mutex>
+
+#include "base/logging.hh"
 
 namespace mach::trace
 {
@@ -30,10 +30,6 @@ categoryName(Category category)
         return "pmap";
       case Vm:
         return "vm";
-      case Sched:
-        return "sched";
-      case Intr:
-        return "intr";
       default:
         return "trace";
     }
@@ -94,23 +90,15 @@ parseCategories(const std::string &spec)
             result |= Pmap;
         else if (word == "vm")
             result |= Vm;
-        else if (word == "sched")
-            result |= Sched;
-        else if (word == "intr")
-            result |= Intr;
         else if (word == "all")
             result |= All;
+        else
+            fatal("unknown trace category '%s' in '%s' (shootdown | "
+                  "pmap | vm | all)",
+                  word.c_str(), spec.c_str());
         pos = comma + 1;
     }
     return result;
-}
-
-void
-initFromEnvironment()
-{
-    const char *spec = std::getenv("MACH_TRACE");
-    if (spec != nullptr && *spec != '\0')
-        enable(parseCategories(spec));
 }
 
 void

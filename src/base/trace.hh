@@ -4,9 +4,7 @@
  *
  * Tracing is off by default and costs one mask test per site when
  * disabled. Enable categories programmatically (tests, examples) or
- * via the MACH_TRACE environment variable, e.g.
- *
- *   MACH_TRACE=shootdown,vm ./build/examples/quickstart
+ * with `machsim --trace shootdown,vm`.
  *
  * Each line carries the simulated timestamp the caller passes in, so
  * traces from a deterministic run are themselves deterministic.
@@ -32,8 +30,6 @@ enum Category : std::uint32_t
     Shootdown = 1u << 0, ///< Initiator/responder phases.
     Pmap = 1u << 1,      ///< pmap operations and lazy decisions.
     Vm = 1u << 2,        ///< Faults and address-space operations.
-    Sched = 1u << 3,     ///< Dispatch, idle transitions.
-    Intr = 1u << 4,      ///< Interrupt posts and dispatches.
     All = ~0u,
 };
 
@@ -74,11 +70,11 @@ void setSink(std::function<void(const std::string &)> sink);
  */
 void setLinePrefix(std::string prefix);
 
-/** Parse a comma-separated category list ("shootdown,vm", "all"). */
+/**
+ * Parse a comma-separated category list ("shootdown,vm", "all");
+ * fatal() naming the first word that is no category.
+ */
 std::uint32_t parseCategories(const std::string &spec);
-
-/** Initialize the mask from the MACH_TRACE environment variable. */
-void initFromEnvironment();
 
 /** Emit one line (no gating; call via the MACH_TRACE_LOG macro). */
 void log(Category category, Tick now, const char *fmt, ...)

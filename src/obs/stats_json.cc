@@ -1,6 +1,7 @@
 #include "obs/stats_json.hh"
 
 #include <fstream>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "obs/recorder.hh"
@@ -59,13 +60,41 @@ histogramJson(std::string &out, const Histogram &h)
     out += "}";
 }
 
+/** A `"key": {...}` block, one counter per line, in table order. */
+template <typename Record, typename Table>
 void
-counter(std::string &out, const char *name, std::uint64_t value,
-        bool last = false)
+counterBlock(std::string &out, const char *key, const Record &record,
+             const Table &table)
 {
-    out += "    ";
-    out += jsonString(name);
-    out += ": " + std::to_string(value);
+    out += "  " + jsonString(key) + ": {";
+    const char *sep = "\n";
+    for (const xpr::Counter<Record> &counter : table) {
+        out += sep;
+        out += "    " + jsonString(counter.name) + ": ";
+        out += std::to_string(record.*counter.field);
+        sep = ",\n";
+    }
+    out += "\n  },\n";
+}
+
+/** A `"key": [...]` array of one-line objects, one per record. */
+template <typename Record, typename Table>
+void
+rowArray(std::string &out, const char *key,
+         const std::vector<Record> &rows, const Table &table, bool last)
+{
+    out += "  " + jsonString(key) + ": [";
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        out += i == 0 ? "\n    {" : ",\n    {";
+        const char *sep = "";
+        for (const xpr::Counter<Record> &counter : table) {
+            out += sep + jsonString(counter.name) + ": ";
+            out += std::to_string(rows[i].*counter.field);
+            sep = ", ";
+        }
+        out += "}";
+    }
+    out += rows.empty() ? "]" : "\n  ]";
     out += last ? "\n" : ",\n";
 }
 
@@ -101,89 +130,16 @@ statsJson(vm::Kernel &kernel, const StatsMeta &meta)
     }
     out += first ? "},\n" : "\n  },\n";
 
-    out += "  \"counters\": {\n";
-    counter(out, "shootdowns_initiated", stats.shootdowns_initiated);
-    counter(out, "delayed_waits", stats.delayed_waits);
-    counter(out, "ipis_sent", stats.ipis_sent);
-    counter(out, "responder_passes", stats.responder_passes);
-    counter(out, "idle_drains", stats.idle_drains);
-    counter(out, "queue_overflows", stats.queue_overflows);
-    counter(out, "remote_invalidates", stats.remote_invalidates);
-    counter(out, "ipis_elided", stats.ipis_elided);
-    counter(out, "flushes_deferred", stats.flushes_deferred);
-    counter(out, "deferred_flushes_applied",
-            stats.deferred_flushes_applied);
-    counter(out, "actions_merged", stats.actions_merged);
-    counter(out, "range_invalidates", stats.range_invalidates);
-    counter(out, "full_space_flushes", stats.full_space_flushes);
-    counter(out, "reuse_elisions", stats.reuse_elisions);
-    counter(out, "cross_node_ipis", stats.cross_node_ipis);
-    counter(out, "forwarded_ipis", stats.forwarded_ipis);
-    counter(out, "remote_faults", stats.remote_faults);
-    counter(out, "local_faults", stats.local_faults);
-    counter(out, "page_migrations", stats.page_migrations);
-    counter(out, "faults_resolved", stats.faults_resolved);
-    counter(out, "faults_failed", stats.faults_failed);
-    counter(out, "cow_copies", stats.cow_copies);
-    counter(out, "zero_fills", stats.zero_fills);
-    counter(out, "pageouts", stats.pageouts);
-    counter(out, "pageins", stats.pageins);
-    counter(out, "free_frames", stats.free_frames, true);
-    out += "  },\n";
-
+    counterBlock(out, "counters", stats, xpr::kMachineCounters);
     // Emitted only when devices exist, so device-less stats output
     // stays byte-identical to the pre-device schema.
     if (!stats.devices.empty()) {
-        out += "  \"device_counters\": {\n";
-        counter(out, "device_commands", stats.device_commands);
-        counter(out, "device_sync_waits", stats.device_sync_waits);
-        counter(out, "cross_node_device_commands",
-                stats.cross_node_device_commands, true);
-        out += "  },\n";
-        out += "  \"devices\": [";
-        for (std::size_t i = 0; i < stats.devices.size(); ++i) {
-            const xpr::DeviceStats &d = stats.devices[i];
-            out += i == 0 ? "\n" : ",\n";
-            out += "    {\"dma_reads\": " + std::to_string(d.dma_reads);
-            out += ", \"dma_writes\": " + std::to_string(d.dma_writes);
-            out += ", \"writes_committed\": " +
-                   std::to_string(d.writes_committed);
-            out += ", \"dma_aborts\": " + std::to_string(d.dma_aborts);
-            out += ", \"dma_faults\": " + std::to_string(d.dma_faults);
-            out += ", \"iommu_walks\": " +
-                   std::to_string(d.iommu_walks);
-            out += ", \"drains\": " + std::to_string(d.drains);
-            out += ", \"iotlb_hits\": " + std::to_string(d.iotlb_hits);
-            out += ", \"iotlb_misses\": " +
-                   std::to_string(d.iotlb_misses);
-            out += ", \"iotlb_flushes\": " +
-                   std::to_string(d.iotlb_flushes);
-            out += ", \"iotlb_single_invalidates\": " +
-                   std::to_string(d.iotlb_single_invalidates);
-            out += "}";
-        }
-        out += "\n  ],\n";
+        counterBlock(out, "device_counters", stats,
+                     xpr::kDeviceCommandCounters);
+        rowArray(out, "devices", stats.devices, xpr::kDeviceCounters,
+                 false);
     }
-
-    out += "  \"cpus\": [";
-    for (std::size_t i = 0; i < stats.cpus.size(); ++i) {
-        const xpr::CpuStats &cpu = stats.cpus[i];
-        out += i == 0 ? "\n" : ",\n";
-        out += "    {\"tlb_hits\": " + std::to_string(cpu.tlb_hits);
-        out += ", \"tlb_misses\": " + std::to_string(cpu.tlb_misses);
-        out += ", \"tlb_writebacks\": " +
-               std::to_string(cpu.tlb_writebacks);
-        out += ", \"tlb_flushes\": " + std::to_string(cpu.tlb_flushes);
-        out += ", \"tlb_single_invalidates\": " +
-               std::to_string(cpu.tlb_single_invalidates);
-        out += ", \"interrupts_taken\": " +
-               std::to_string(cpu.interrupts_taken);
-        out += ", \"faults_taken\": " + std::to_string(cpu.faults_taken);
-        out += ", \"remote_mem_accesses\": " +
-               std::to_string(cpu.remote_mem_accesses);
-        out += "}";
-    }
-    out += stats.cpus.empty() ? "]\n" : "\n  ]\n";
+    rowArray(out, "cpus", stats.cpus, xpr::kCpuCounters, true);
     out += "}\n";
     return out;
 }

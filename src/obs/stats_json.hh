@@ -6,9 +6,9 @@
  * finished run -- histogram percentiles, machine counters, policy and
  * NUMA counters, the run digest -- as one JSON document. The output is
  * deterministic: integer-only values, fixed field order (histograms in
- * creation order, counters in declaration order), no timestamps or
- * host-dependent fields, so the same seed produces byte-identical
- * bytes. Schema is versioned ("machsim-stats-v1"); see
+ * creation order, counters in the order of xpr's counter tables), no
+ * timestamps or host-dependent fields, so the same seed produces
+ * byte-identical bytes. Schema is versioned ("machsim-stats-v1"); see
  * docs/OBSERVABILITY.md for the field reference.
  */
 

@@ -1,6 +1,7 @@
 #include "xpr/machine_stats.hh"
 
 #include <cstdio>
+#include <functional>
 #include <sstream>
 
 #include "base/logging.hh"
@@ -86,87 +87,70 @@ MachineStats::capture(vm::Kernel &kernel)
     return stats;
 }
 
+namespace
+{
+
+/** Apply `out.field op= in.field` to every non-gauge row of @p table. */
+template <typename Record, typename Table, typename Op>
+void
+combine(Record &out, const Record &in, const Table &table, Op op)
+{
+    for (const Counter<Record> &counter : table) {
+        if (!counter.gauge)
+            out.*counter.field = op(out.*counter.field, in.*counter.field);
+    }
+}
+
+/** Sum of every record in @p rows, row by row over @p table. */
+template <typename Record, typename Table>
+Record
+sumRows(const std::vector<Record> &rows, const Table &table)
+{
+    Record total;
+    for (const Record &row : rows)
+        combine(total, row, table, std::plus<std::uint64_t>());
+    return total;
+}
+
+} // namespace
+
 MachineStats
 MachineStats::since(const MachineStats &earlier) const
 {
     MACH_ASSERT(cpus.size() == earlier.cpus.size());
-    MachineStats diff = *this;
-    for (std::size_t i = 0; i < cpus.size(); ++i) {
-        CpuStats &out = diff.cpus[i];
-        const CpuStats &then = earlier.cpus[i];
-        out.tlb_hits -= then.tlb_hits;
-        out.tlb_misses -= then.tlb_misses;
-        out.tlb_writebacks -= then.tlb_writebacks;
-        out.tlb_flushes -= then.tlb_flushes;
-        out.tlb_single_invalidates -= then.tlb_single_invalidates;
-        out.interrupts_taken -= then.interrupts_taken;
-        out.faults_taken -= then.faults_taken;
-        out.remote_mem_accesses -= then.remote_mem_accesses;
-    }
     MACH_ASSERT(devices.size() == earlier.devices.size());
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        DeviceStats &out = diff.devices[i];
-        const DeviceStats &then = earlier.devices[i];
-        out.dma_reads -= then.dma_reads;
-        out.dma_writes -= then.dma_writes;
-        out.writes_committed -= then.writes_committed;
-        out.dma_aborts -= then.dma_aborts;
-        out.dma_faults -= then.dma_faults;
-        out.iommu_walks -= then.iommu_walks;
-        out.drains -= then.drains;
-        out.iotlb_hits -= then.iotlb_hits;
-        out.iotlb_misses -= then.iotlb_misses;
-        out.iotlb_flushes -= then.iotlb_flushes;
-        out.iotlb_single_invalidates -= then.iotlb_single_invalidates;
-    }
-    diff.device_commands -= earlier.device_commands;
-    diff.device_sync_waits -= earlier.device_sync_waits;
-    diff.cross_node_device_commands -=
-        earlier.cross_node_device_commands;
-    diff.shootdowns_initiated -= earlier.shootdowns_initiated;
-    diff.delayed_waits -= earlier.delayed_waits;
-    diff.ipis_sent -= earlier.ipis_sent;
-    diff.responder_passes -= earlier.responder_passes;
-    diff.idle_drains -= earlier.idle_drains;
-    diff.queue_overflows -= earlier.queue_overflows;
-    diff.remote_invalidates -= earlier.remote_invalidates;
-    diff.ipis_elided -= earlier.ipis_elided;
-    diff.flushes_deferred -= earlier.flushes_deferred;
-    diff.deferred_flushes_applied -= earlier.deferred_flushes_applied;
-    diff.actions_merged -= earlier.actions_merged;
-    diff.range_invalidates -= earlier.range_invalidates;
-    diff.full_space_flushes -= earlier.full_space_flushes;
-    diff.reuse_elisions -= earlier.reuse_elisions;
-    diff.cross_node_ipis -= earlier.cross_node_ipis;
-    diff.forwarded_ipis -= earlier.forwarded_ipis;
-    diff.remote_faults -= earlier.remote_faults;
-    diff.local_faults -= earlier.local_faults;
-    diff.page_migrations -= earlier.page_migrations;
-    diff.faults_resolved -= earlier.faults_resolved;
-    diff.faults_failed -= earlier.faults_failed;
-    diff.cow_copies -= earlier.cow_copies;
-    diff.zero_fills -= earlier.zero_fills;
-    diff.pageouts -= earlier.pageouts;
-    diff.pageins -= earlier.pageins;
+    const std::minus<std::uint64_t> minus;
+    MachineStats diff = *this;
+    for (std::size_t i = 0; i < cpus.size(); ++i)
+        combine(diff.cpus[i], earlier.cpus[i], kCpuCounters, minus);
+    for (std::size_t i = 0; i < devices.size(); ++i)
+        combine(diff.devices[i], earlier.devices[i], kDeviceCounters, minus);
+    combine(diff, earlier, kMachineCounters, minus);
+    combine(diff, earlier, kDeviceCommandCounters, minus);
     diff.now_usec -= earlier.now_usec;
     return diff;
+}
+
+MachineStats &
+MachineStats::operator+=(const MachineStats &other)
+{
+    const std::plus<std::uint64_t> plus;
+    combine(*this, other, kMachineCounters, plus);
+    combine(*this, other, kDeviceCommandCounters, plus);
+    now_usec += other.now_usec;
+    return *this;
 }
 
 CpuStats
 MachineStats::totals() const
 {
-    CpuStats total;
-    for (const CpuStats &cpu : cpus) {
-        total.tlb_hits += cpu.tlb_hits;
-        total.tlb_misses += cpu.tlb_misses;
-        total.tlb_writebacks += cpu.tlb_writebacks;
-        total.tlb_flushes += cpu.tlb_flushes;
-        total.tlb_single_invalidates += cpu.tlb_single_invalidates;
-        total.interrupts_taken += cpu.interrupts_taken;
-        total.faults_taken += cpu.faults_taken;
-        total.remote_mem_accesses += cpu.remote_mem_accesses;
-    }
-    return total;
+    return sumRows(cpus, kCpuCounters);
+}
+
+DeviceStats
+MachineStats::deviceTotals() const
+{
+    return sumRows(devices, kDeviceCounters);
 }
 
 std::string
@@ -177,10 +161,11 @@ MachineStats::report() const
     std::string out;
 
     std::snprintf(buf, sizeof(buf),
-                  "machine stats @ %llu us (%zu cpus, %u free "
+                  "machine stats @ %llu us (%zu cpus, %llu free "
                   "frames)\n",
                   static_cast<unsigned long long>(now_usec),
-                  cpus.size(), free_frames);
+                  cpus.size(),
+                  static_cast<unsigned long long>(free_frames));
     out += buf;
     std::snprintf(buf, sizeof(buf),
                   "  tlb: %llu hits / %llu misses (%.1f%% hit), "
@@ -235,18 +220,7 @@ MachineStats::report() const
         out += buf;
     }
     if (!devices.empty()) {
-        DeviceStats dev_total;
-        for (const DeviceStats &device : devices) {
-            dev_total.dma_reads += device.dma_reads;
-            dev_total.dma_writes += device.dma_writes;
-            dev_total.writes_committed += device.writes_committed;
-            dev_total.dma_aborts += device.dma_aborts;
-            dev_total.dma_faults += device.dma_faults;
-            dev_total.iommu_walks += device.iommu_walks;
-            dev_total.drains += device.drains;
-            dev_total.iotlb_hits += device.iotlb_hits;
-            dev_total.iotlb_misses += device.iotlb_misses;
-        }
+        const DeviceStats dev_total = deviceTotals();
         std::snprintf(
             buf, sizeof(buf),
             "  dev: %zu devices, %llu reads, %llu writes (%llu "

@@ -24,6 +24,19 @@ class Kernel;
 namespace mach::xpr
 {
 
+/**
+ * One row of a counter table: a stats/JSON name and its field in
+ * @p Record. A gauge is a level, not a count: since() and operator+=
+ * leave it alone.
+ */
+template <typename Record>
+struct Counter
+{
+    const char *name;
+    std::uint64_t Record::*field;
+    bool gauge = false;
+};
+
 /** Per-processor counters. */
 struct CpuStats
 {
@@ -111,19 +124,102 @@ struct MachineStats
 
     // Machine totals.
     std::uint64_t now_usec = 0;
-    std::uint32_t free_frames = 0;
+    std::uint64_t free_frames = 0;
 
     /** Capture the current counters of @p kernel's machine. */
     static MachineStats capture(vm::Kernel &kernel);
 
-    /** Counter-wise difference (this - earlier); clocks subtract too. */
+    /**
+     * Counter-wise difference (this - earlier) over every table; the
+     * clock subtracts too, gauges keep this snapshot's value.
+     */
     MachineStats since(const MachineStats &earlier) const;
+
+    /**
+     * Add @p other's machine-wide counters (gauges excepted) and clock
+     * into this, e.g. to sum a bench row over runs. Per-CPU and
+     * per-device rows are left alone: see totals(), deviceTotals().
+     */
+    MachineStats &operator+=(const MachineStats &other);
 
     /** Machine-wide totals over all CPUs. */
     CpuStats totals() const;
 
+    /** Totals over all DMA devices. */
+    DeviceStats deviceTotals() const;
+
     /** Multi-line human-readable report. */
     std::string report() const;
+};
+
+// The counter tables, in `--stats-json` order: since(), operator+=,
+// totals(), deviceTotals() and obs::statsJson loop over them. A new
+// counter needs its field, a row here, and a line in capture().
+
+/** The `counters` section: machine-wide counters, then the gauges. */
+inline constexpr Counter<MachineStats> kMachineCounters[] = {
+    {"shootdowns_initiated", &MachineStats::shootdowns_initiated},
+    {"delayed_waits", &MachineStats::delayed_waits},
+    {"ipis_sent", &MachineStats::ipis_sent},
+    {"responder_passes", &MachineStats::responder_passes},
+    {"idle_drains", &MachineStats::idle_drains},
+    {"queue_overflows", &MachineStats::queue_overflows},
+    {"remote_invalidates", &MachineStats::remote_invalidates},
+    {"ipis_elided", &MachineStats::ipis_elided},
+    {"flushes_deferred", &MachineStats::flushes_deferred},
+    {"deferred_flushes_applied",
+     &MachineStats::deferred_flushes_applied},
+    {"actions_merged", &MachineStats::actions_merged},
+    {"range_invalidates", &MachineStats::range_invalidates},
+    {"full_space_flushes", &MachineStats::full_space_flushes},
+    {"reuse_elisions", &MachineStats::reuse_elisions},
+    {"cross_node_ipis", &MachineStats::cross_node_ipis},
+    {"forwarded_ipis", &MachineStats::forwarded_ipis},
+    {"remote_faults", &MachineStats::remote_faults},
+    {"local_faults", &MachineStats::local_faults},
+    {"page_migrations", &MachineStats::page_migrations},
+    {"faults_resolved", &MachineStats::faults_resolved},
+    {"faults_failed", &MachineStats::faults_failed},
+    {"cow_copies", &MachineStats::cow_copies},
+    {"zero_fills", &MachineStats::zero_fills},
+    {"pageouts", &MachineStats::pageouts},
+    {"pageins", &MachineStats::pageins},
+    {"free_frames", &MachineStats::free_frames, true},
+};
+
+/** The `device_counters` section (printed only when devices exist). */
+inline constexpr Counter<MachineStats> kDeviceCommandCounters[] = {
+    {"device_commands", &MachineStats::device_commands},
+    {"device_sync_waits", &MachineStats::device_sync_waits},
+    {"cross_node_device_commands",
+     &MachineStats::cross_node_device_commands},
+};
+
+/** One row of the `cpus` array. */
+inline constexpr Counter<CpuStats> kCpuCounters[] = {
+    {"tlb_hits", &CpuStats::tlb_hits},
+    {"tlb_misses", &CpuStats::tlb_misses},
+    {"tlb_writebacks", &CpuStats::tlb_writebacks},
+    {"tlb_flushes", &CpuStats::tlb_flushes},
+    {"tlb_single_invalidates", &CpuStats::tlb_single_invalidates},
+    {"interrupts_taken", &CpuStats::interrupts_taken},
+    {"faults_taken", &CpuStats::faults_taken},
+    {"remote_mem_accesses", &CpuStats::remote_mem_accesses},
+};
+
+/** One row of the `devices` array. */
+inline constexpr Counter<DeviceStats> kDeviceCounters[] = {
+    {"dma_reads", &DeviceStats::dma_reads},
+    {"dma_writes", &DeviceStats::dma_writes},
+    {"writes_committed", &DeviceStats::writes_committed},
+    {"dma_aborts", &DeviceStats::dma_aborts},
+    {"dma_faults", &DeviceStats::dma_faults},
+    {"iommu_walks", &DeviceStats::iommu_walks},
+    {"drains", &DeviceStats::drains},
+    {"iotlb_hits", &DeviceStats::iotlb_hits},
+    {"iotlb_misses", &DeviceStats::iotlb_misses},
+    {"iotlb_flushes", &DeviceStats::iotlb_flushes},
+    {"iotlb_single_invalidates", &DeviceStats::iotlb_single_invalidates},
 };
 
 /**
@@ -131,9 +227,10 @@ struct MachineStats
  * xpr event stream, the final clock, every CPU's TLB counters, and
  * the shootdown controller's counters. Equal digests mean equal runs
  * bit-for-bit; `machsim --repeat` prints one per seed and the farm
- * tests compare them across jobs/snapshot modes. The formula matches
- * tests/determinism_test.cc's local copy, which pins golden values --
- * change neither without the other.
+ * tests compare them across jobs/snapshot modes. The goldens in
+ * tests/determinism_test.cc, tests/farm_determinism_test.cc and
+ * perfbench/goldens.json pin this exact formula, which reads the
+ * owners' counters, not the tables above.
  */
 std::uint64_t runDigest(vm::Kernel &kernel);
 

@@ -54,8 +54,18 @@ TEST(Trace, ParseCategories)
     EXPECT_EQ(trace::parseCategories("shootdown,vm"),
               trace::Shootdown | trace::Vm);
     EXPECT_EQ(trace::parseCategories("all"), trace::All);
-    EXPECT_EQ(trace::parseCategories("nonsense"), trace::None);
     EXPECT_EQ(trace::parseCategories(""), trace::None);
+    // A misspelt word is an error, not a silently empty trace.
+    EXPECT_EXIT(trace::parseCategories("nonsense"),
+                ::testing::ExitedWithCode(1),
+                "unknown trace category 'nonsense'");
+}
+
+TEST(TraceDeathTest, UnknownWordAmongKnownOnesIsFatal)
+{
+    EXPECT_EXIT(trace::parseCategories("shootdown,shootdwn,vm"),
+                ::testing::ExitedWithCode(1),
+                "unknown trace category 'shootdwn'");
 }
 
 TEST(Trace, MaskManipulation)
