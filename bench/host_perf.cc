@@ -15,7 +15,7 @@
  *   - app suite:       the four Section 5.2 applications (scaled by
  *                      MACH_BENCH_SCALE), same unit;
  *   - explorer_sweep:  a late-window explorer probe batch run serial
- *                      vs farmed (threads x fork snapshots), with a
+ *                      vs on eight farm worker threads, with a
  *                      bit-identical-results check, in x speedup;
  *   - bench_sweep:     an eight-config application sweep serial vs
  *                      eight farm workers, same unit.
@@ -396,9 +396,8 @@ foldU64(std::uint64_t hash, std::uint64_t value)
  * dominates the run (three tight-loop writers churning for a long
  * stretch) followed by a short reprotect tail. The library scenarios
  * keep their warmups small so campaigns stay quick; this one is
- * deliberately prefix-heavy because the bench measures how much of
- * that prefix the farm's fork snapshots recover when every probe
- * targets the tail.
+ * long enough per trial that the farm's thread overhead is noise and
+ * the sweep measures worker scaling alone.
  */
 chk::Scenario
 sweepScenario()
@@ -473,14 +472,11 @@ sweepScenario()
 
 /**
  * The explorer probe batch through the run farm: one late-window
- * single-delay probe set over the prefix-heavy sweep scenario,
- * executed four ways -- serial, 8 worker threads, fork snapshots, and
- * both -- with a digest-equality check that all four modes saw
- * bit-identical trials. The headline is the farmed speedup over the
- * serial sweep; on a single-core host it is carried almost entirely
- * by snapshot prefix reuse (each probe fork-clones the parked warmup
- * instead of re-simulating it), with thread scaling on top where
- * cores exist.
+ * single-delay probe set over the sweep scenario, executed serially
+ * and on 8 worker threads, with a digest-equality check that both
+ * saw bit-identical trials. The headline is the farmed speedup over
+ * the serial sweep: every trial re-simulates from tick 0, so it
+ * tracks the host cores available (about 1x on a single-core host).
  */
 Result
 benchExplorerSweep(unsigned scale)
@@ -495,8 +491,7 @@ benchExplorerSweep(unsigned scale)
     if (baseline.failed())
         fatal("host_perf: sweep scenario baseline failed");
 
-    // Late-window probes: every delay lands past 90% of the run, so
-    // the shared prefix is deep enough to be worth snapshotting.
+    // Late-window probes: every delay lands past 90% of the run.
     const unsigned count = 24 * scale;
     const std::uint64_t lo = baseline.events_fired * 9 / 10;
     const std::uint64_t span = baseline.events_fired - lo;
@@ -514,10 +509,8 @@ benchExplorerSweep(unsigned scale)
         double host_ms = 0;
     };
     Mode modes[] = {
-        {"serial", {1, false}},
-        {"jobs8", {8, false}},
-        {"snapshots", {1, true}},
-        {"jobs8+snapshots", {8, true}},
+        {"serial", {1}},
+        {"jobs8", {8}},
     };
 
     const auto begin = Clock::now();
@@ -555,13 +548,10 @@ benchExplorerSweep(unsigned scale)
              std::max(1e-3, modes[std::size(modes) - 1].host_ms);
     std::printf("  explorer_sweep:   %9.1f ms  %12.2f x speedup "
                 "(%u probes over %llu events; serial %.0f ms, "
-                "jobs8 %.0f ms, snapshots %.0f ms, "
-                "jobs8+snapshots %.0f ms; all modes "
-                "bit-identical)\n",
+                "jobs8 %.0f ms; both modes bit-identical)\n",
                 r.host_ms, r.rate, count,
                 static_cast<unsigned long long>(baseline.events_fired),
-                modes[0].host_ms, modes[1].host_ms, modes[2].host_ms,
-                modes[3].host_ms);
+                modes[0].host_ms, modes[1].host_ms);
     return r;
 }
 

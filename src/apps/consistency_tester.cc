@@ -9,8 +9,12 @@ void
 ConsistencyTester::run(vm::Kernel &kernel, kern::Thread &driver)
 {
     kern::Machine &machine = kernel.machine();
-    MACH_ASSERT(params_.children >= 1);
-    MACH_ASSERT(params_.children < machine.ncpus());
+    // Each child and the main thread need a processor of their own.
+    if (params_.children < 1 || params_.children >= machine.ncpus())
+        fatal("ConsistencyTester: %u children on %u CPUs; need 1 <= "
+              "children < ncpus (one CPU per child plus the main "
+              "thread's)",
+              params_.children, machine.ncpus());
 
     vm::Task *task = kernel.createTask("tester");
 

@@ -17,8 +17,6 @@ namespace
 /** Serializes sink replacement and line emission across farm workers. */
 std::mutex g_sink_mutex;
 std::function<void(const std::string &)> g_sink;
-/** Prepended to every line (fork children set "[child N] "). */
-std::string g_line_prefix;
 
 const char *
 categoryName(Category category)
@@ -67,13 +65,6 @@ setSink(std::function<void(const std::string &)> sink)
     g_sink = std::move(sink);
 }
 
-void
-setLinePrefix(std::string prefix)
-{
-    std::lock_guard<std::mutex> lock(g_sink_mutex);
-    g_line_prefix = std::move(prefix);
-}
-
 std::uint32_t
 parseCategories(const std::string &spec)
 {
@@ -118,14 +109,10 @@ log(Category category, Tick now, const char *fmt, ...)
     // One lock per emitted line only -- disabled categories never get
     // here -- keeping concurrent machines' lines whole.
     std::lock_guard<std::mutex> lock(g_sink_mutex);
-    if (g_sink) {
-        if (g_line_prefix.empty())
-            g_sink(line);
-        else
-            g_sink(g_line_prefix + line);
-    } else {
-        std::fprintf(stderr, "%s%s\n", g_line_prefix.c_str(), line);
-    }
+    if (g_sink)
+        g_sink(line);
+    else
+        std::fprintf(stderr, "%s\n", line);
 }
 
 } // namespace mach::trace

@@ -64,13 +64,6 @@ enabled(std::uint32_t categories)
 void setSink(std::function<void(const std::string &)> sink);
 
 /**
- * Prepend @p prefix to every emitted line. farm::forkMany children set
- * "[child N] " so interleaved lines from concurrent runs stay
- * attributable; empty (the default) adds nothing.
- */
-void setLinePrefix(std::string prefix);
-
-/**
  * Parse a comma-separated category list ("shootdown,vm", "all");
  * fatal() naming the first word that is no category.
  */

@@ -52,43 +52,34 @@ perturbedBound(const Scenario &scenario, const SchedulePerturber &p)
 
 /**
  * One trial's machinery: kernel, oracle, workload -- everything that
- * exists from launch to verdict. Kept in one place so the serial
- * path (construct, run, finish) and the snapshot path (construct,
- * run the shared prefix, fork, resume, finish in the child) assemble
- * TrialResults with byte-identical rules.
+ * exists from launch to verdict. Kept in one place so plain, signed
+ * and recorded trials assemble TrialResults with byte-identical rules.
  */
 struct TrialHarness
 {
     vm::Kernel kernel;
     Oracle oracle;
     ScenarioState state;
+    const Tick bound;
 
-    explicit TrialHarness(const Scenario &scenario,
-                          const SchedulePerturber *perturber = nullptr)
-        : kernel(scenario.config), oracle(kernel)
+    TrialHarness(const Scenario &scenario,
+                 const SchedulePerturber &perturber)
+        : kernel(scenario.config), oracle(kernel),
+          bound(perturbedBound(scenario, perturber))
     {
-        if (perturber != nullptr)
-            kernel.machine().setPerturber(perturber);
+        kernel.machine().setPerturber(&perturber);
         scenario.launch(kernel, &state);
     }
 
-    /** Arm the coverage signal: record everything so finish() can
-     *  extract the interleaving signatures. Timing-neutral. */
-    void
-    enableSigning()
-    {
-        kernel.machine().recorder().enable();
-    }
-
-    /** Judge the finished run; @p events_fired is the run() total. */
+    /** Run to the liveness bound and judge the finished run. */
     TrialResult
-    finish(std::uint64_t events_fired)
+    run()
     {
         TrialResult out;
+        out.events_fired = kernel.machine().run(bound);
         oracle.finalCheck();
         kernel.machine().setPerturber(nullptr);
 
-        out.events_fired = events_fired;
         out.completed = state.finished;
         out.predicate_ok = state.predicate_ok;
         out.coverage_ok = state.coverage_ok;
@@ -122,221 +113,8 @@ struct TrialHarness
     }
 };
 
-// ---- TrialResult wire form (fork-snapshot children -> parent) -------
-
-void
-appendU64(std::string &s, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-bool
-readU64(const std::string &s, std::size_t *pos, std::uint64_t *v)
-{
-    if (*pos + 8 > s.size())
-        return false;
-    std::uint64_t out = 0;
-    for (unsigned i = 0; i < 8; ++i)
-        out |= static_cast<std::uint64_t>(
-                   static_cast<unsigned char>(s[*pos + i]))
-               << (8 * i);
-    *pos += 8;
-    *v = out;
-    return true;
-}
-
-bool
-readString(const std::string &s, std::size_t *pos, std::string *out)
-{
-    std::uint64_t len = 0;
-    if (!readU64(s, pos, &len) || *pos + len > s.size())
-        return false;
-    out->assign(s, *pos, static_cast<std::size_t>(len));
-    *pos += static_cast<std::size_t>(len);
-    return true;
-}
-
-constexpr std::uint64_t kTrialWireMagic = 0x4d464152'5452494cull;
-
-std::string
-encodeTrial(const TrialResult &r)
-{
-    std::string s;
-    appendU64(s, kTrialWireMagic);
-    appendU64(s, r.completed ? 1 : 0);
-    appendU64(s, r.predicate_ok ? 1 : 0);
-    appendU64(s, r.coverage_ok ? 1 : 0);
-    appendU64(s, r.violation_count);
-    appendU64(s, r.events_fired);
-    appendU64(s, r.bus_accesses);
-    appendU64(s, r.end_time);
-    appendU64(s, r.digest);
-    appendU64(s, r.note.size());
-    s += r.note;
-    appendU64(s, r.violations.size());
-    for (const std::string &v : r.violations) {
-        appendU64(s, v.size());
-        s += v;
-    }
-    appendU64(s, r.signatures.size());
-    for (const std::uint64_t sig : r.signatures)
-        appendU64(s, sig);
-    return s;
-}
-
-bool
-decodeTrial(const std::string &s, TrialResult *out)
-{
-    std::size_t pos = 0;
-    std::uint64_t magic = 0, flag = 0, count = 0;
-    if (!readU64(s, &pos, &magic) || magic != kTrialWireMagic)
-        return false;
-    if (!readU64(s, &pos, &flag))
-        return false;
-    out->completed = flag != 0;
-    if (!readU64(s, &pos, &flag))
-        return false;
-    out->predicate_ok = flag != 0;
-    if (!readU64(s, &pos, &flag))
-        return false;
-    out->coverage_ok = flag != 0;
-    if (!readU64(s, &pos, &out->violation_count) ||
-        !readU64(s, &pos, &out->events_fired) ||
-        !readU64(s, &pos, &out->bus_accesses) ||
-        !readU64(s, &pos, &out->end_time) ||
-        !readU64(s, &pos, &out->digest))
-        return false;
-    if (!readString(s, &pos, &out->note))
-        return false;
-    if (!readU64(s, &pos, &count) || count > 4096)
-        return false;
-    out->violations.clear();
-    out->violations.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::string v;
-        if (!readString(s, &pos, &v))
-            return false;
-        out->violations.push_back(std::move(v));
-    }
-    if (!readU64(s, &pos, &count) || count > (1u << 20))
-        return false;
-    out->signatures.clear();
-    out->signatures.reserve(static_cast<std::size_t>(count));
-    for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t sig = 0;
-        if (!readU64(s, &pos, &sig))
-            return false;
-        out->signatures.push_back(sig);
-    }
-    return pos == s.size();
-}
-
-// ---- Fork-snapshot batch runner -------------------------------------
-
-/** Slack between the park watermark and the earliest perturbed index:
- *  one event body may insert many events or issue many bus accesses
- *  before runGuarded re-checks, so park comfortably early. */
 /** Flight-recorder ring depth for the minimized-reproducer replay. */
 constexpr std::size_t kFlightRingCapacity = 16384;
-
-constexpr std::uint64_t kSnapshotMargin = 512;
-
-/**
- * Try to run @p probes off one fork-style prefix snapshot: simulate
- * the batch's shared unperturbed prefix once, park it, then fork one
- * child per probe to install its perturber and resume. Fills
- * results[i]/done[i] for every probe it completes; probes it cannot
- * serve (park failed, a directive landed inside the prefix, a child
- * died) are left for the caller's full-run fallback. Never changes a
- * result: a child's TrialResult is byte-identical to runTrial()'s.
- */
-void
-runSnapshotBatch(const Scenario &scenario,
-                 const std::vector<SchedulePerturber> &probes,
-                 unsigned jobs, std::uint64_t snapshot_floor,
-                 bool with_signatures,
-                 std::vector<TrialResult> &results,
-                 std::vector<char> &done)
-{
-    constexpr std::uint64_t kNone = ~std::uint64_t{0};
-    std::uint64_t min_eseq = kNone;
-    std::uint64_t min_bidx = kNone;
-    for (const SchedulePerturber &p : probes)
-        for (const PerturbItem &item : p.items()) {
-            if (item.bus)
-                min_bidx = std::min(min_bidx, item.index);
-            else
-                min_eseq = std::min(min_eseq, item.index);
-        }
-    if (min_eseq == kNone && min_bidx == kNone)
-        return; // all-baseline batch: nothing a snapshot could skip
-    const auto watermark = [](std::uint64_t lo) {
-        if (lo == kNone)
-            return kNone;
-        return lo > kSnapshotMargin ? lo - kSnapshotMargin
-                                    : std::uint64_t{0};
-    };
-    const std::uint64_t ew = watermark(min_eseq);
-    const std::uint64_t bw = watermark(min_bidx);
-    if (ew == 0 || bw == 0)
-        return; // a directive fires too early to park before it
-
-    TrialHarness harness(scenario);
-    // Signed batches record the shared prefix once; every fork child
-    // inherits the recorded events and appends its own, so a child's
-    // signature list matches a full signed run of the same probe.
-    if (with_signatures)
-        harness.enableSigning();
-    const kern::Machine::PrefixRun prefix =
-        harness.kernel.machine().runPrefix(ew, bw, scenario.bound);
-    if (!prefix.parked || prefix.events < snapshot_floor)
-        return; // run completed (must not resume) or prefix too thin
-                // (FarmOptions::snapshot_floor, default 4096)
-
-    const std::uint64_t park_events =
-        harness.kernel.machine().ctx().queue().scheduledCount();
-    const std::uint64_t park_bus =
-        harness.kernel.machine().busAccessTotal();
-
-    // The park point lands at the first event boundary past a
-    // watermark, which may overshoot: re-check each probe's
-    // directives against where the prefix actually stopped.
-    std::vector<std::size_t> valid;
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        bool ok = true;
-        for (const PerturbItem &item : probes[i].items()) {
-            const std::uint64_t floor =
-                item.bus ? park_bus : park_events;
-            if (item.index <= floor) {
-                ok = false;
-                break;
-            }
-        }
-        if (ok)
-            valid.push_back(i);
-    }
-    if (valid.empty())
-        return;
-
-    const std::vector<std::optional<std::string>> payloads =
-        farm::forkMany(valid.size(), jobs, [&](std::size_t k) {
-            const SchedulePerturber &p = probes[valid[k]];
-            harness.kernel.machine().setPerturber(&p);
-            const std::uint64_t fired = harness.kernel.machine().run(
-                perturbedBound(scenario, p));
-            return encodeTrial(harness.finish(prefix.events + fired));
-        });
-    for (std::size_t k = 0; k < valid.size(); ++k) {
-        if (!payloads[k])
-            continue;
-        TrialResult r;
-        if (decodeTrial(*payloads[k], &r)) {
-            results[valid[k]] = std::move(r);
-            done[valid[k]] = 1;
-        }
-    }
-}
 
 // ---- Probe generation -----------------------------------------------
 
@@ -348,10 +126,11 @@ runSnapshotBatch(const Scenario &scenario,
  */
 constexpr std::size_t kCoverageWave = 8;
 
-/** One blind multi-delay probe (the classic random phase). */
+/** One blind multi-delay probe (the classic random phase) over the
+ *  baseline's event indices 1..n_events and bus indices 1..n_bus. */
 SchedulePerturber
-randomProbe(Rng &rng, const ExploreOptions &opt, std::uint64_t e_lo,
-            std::uint64_t e_hi, std::uint64_t b_lo, std::uint64_t b_hi)
+randomProbe(Rng &rng, const ExploreOptions &opt, std::uint64_t n_events,
+            std::uint64_t n_bus)
 {
     SchedulePerturber p;
     const unsigned k =
@@ -360,9 +139,9 @@ randomProbe(Rng &rng, const ExploreOptions &opt, std::uint64_t e_lo,
         const Tick extra =
             opt.min_extra + rng.below(opt.max_extra - opt.min_extra + 1);
         if (rng.chance(0.15))
-            p.delayBusAccess(b_lo + rng.below(b_hi - b_lo + 1), extra);
+            p.delayBusAccess(1 + rng.below(n_bus), extra);
         else
-            p.delayEvent(e_lo + rng.below(e_hi - e_lo + 1), extra);
+            p.delayEvent(1 + rng.below(n_events), extra);
     }
     return p;
 }
@@ -376,11 +155,11 @@ randomProbe(Rng &rng, const ExploreOptions &opt, std::uint64_t e_lo,
  */
 SchedulePerturber
 mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
-            const ExploreOptions &opt, std::uint64_t e_lo,
-            std::uint64_t e_hi, std::uint64_t b_lo, std::uint64_t b_hi)
+            const ExploreOptions &opt, std::uint64_t n_events,
+            std::uint64_t n_bus)
 {
     if (pool.empty() || rng.chance(0.1))
-        return randomProbe(rng, opt, e_lo, e_hi, b_lo, b_hi);
+        return randomProbe(rng, opt, n_events, n_bus);
 
     // Tournament pick: novelty-weighted without a weight table.
     const CorpusEntry *a = pool[rng.below(pool.size())];
@@ -389,7 +168,7 @@ mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
     SchedulePerturber base;
     if (!SchedulePerturber::parse(entry->schedule, &base, nullptr) ||
         base.empty())
-        return randomProbe(rng, opt, e_lo, e_hi, b_lo, b_hi);
+        return randomProbe(rng, opt, n_events, n_bus);
     std::vector<PerturbItem> items = base.items();
 
     switch (rng.below(3)) {
@@ -436,14 +215,13 @@ mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
       }
       default: { // seq shift: local search around one directive
         PerturbItem &item = items[rng.below(items.size())];
-        const std::uint64_t lo = item.bus ? b_lo : e_lo;
-        const std::uint64_t hi = item.bus ? b_hi : e_hi;
+        const std::uint64_t hi = item.bus ? n_bus : n_events;
         switch (rng.below(4)) {
           case 0: // geometric funnel toward the run's early events:
                   // warmup-adjacent hazards sit at small sequence
                   // numbers a +-48 jitter never reaches from the
                   // middle of the index space
-            item.index = std::max(lo, item.index / 2);
+            item.index = std::max<std::uint64_t>(1, item.index / 2);
             break;
           case 1: // and the mirror, toward teardown
             item.index = std::min(hi, item.index * 2);
@@ -454,7 +232,7 @@ mutateProbe(Rng &rng, const std::vector<const CorpusEntry *> &pool,
                 item.index = std::min(hi, item.index + delta);
             else
                 item.index =
-                    item.index > lo + delta ? item.index - delta : lo;
+                    item.index > 1 + delta ? item.index - delta : 1;
             break;
           }
         }
@@ -470,21 +248,18 @@ TrialResult
 Explorer::runTrial(const Scenario &scenario,
                    const SchedulePerturber &perturber) const
 {
-    TrialHarness harness(scenario, &perturber);
-    const std::uint64_t fired = harness.kernel.machine().run(
-        perturbedBound(scenario, perturber));
-    return harness.finish(fired);
+    return TrialHarness(scenario, perturber).run();
 }
 
 TrialResult
 Explorer::runTrialSigned(const Scenario &scenario,
                          const SchedulePerturber &perturber) const
 {
-    TrialHarness harness(scenario, &perturber);
-    harness.enableSigning();
-    const std::uint64_t fired = harness.kernel.machine().run(
-        perturbedBound(scenario, perturber));
-    return harness.finish(fired);
+    // Record everything so run() can extract the interleaving
+    // signatures. Timing-neutral.
+    TrialHarness harness(scenario, perturber);
+    harness.kernel.machine().recorder().enable();
+    return harness.run();
 }
 
 TrialResult
@@ -493,15 +268,13 @@ Explorer::runTrialRecorded(const Scenario &scenario,
                            std::string *trace_json,
                            std::size_t ring_capacity) const
 {
-    TrialHarness harness(scenario, &perturber);
+    TrialHarness harness(scenario, perturber);
     obs::Recorder &rec = harness.kernel.machine().recorder();
     if (ring_capacity != 0)
         rec.enableRing(ring_capacity);
     else
         rec.enable();
-    const std::uint64_t fired = harness.kernel.machine().run(
-        perturbedBound(scenario, perturber));
-    TrialResult out = harness.finish(fired);
+    TrialResult out = harness.run();
     if (trace_json != nullptr)
         *trace_json = rec.toJson();
     return out;
@@ -513,17 +286,8 @@ Explorer::runTrials(const Scenario &scenario,
                     bool with_signatures) const
 {
     std::vector<TrialResult> results(probes.size());
-    std::vector<char> done(probes.size(), 0);
-
-    if (farm_.snapshots && farm::forkAvailable() && probes.size() >= 2)
-        runSnapshotBatch(scenario, probes, farm_.jobs,
-                         farm_.snapshot_floor, with_signatures,
-                         results, done);
-
     std::vector<std::function<void()>> jobs;
     for (std::size_t i = 0; i < probes.size(); ++i) {
-        if (done[i])
-            continue;
         jobs.push_back([this, &scenario, &probes, &results,
                         with_signatures, i] {
             results[i] = with_signatures
@@ -572,40 +336,26 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
             ++res.coverage_novel;
     }
 
+    // Probe index space: every event and bus access of the baseline.
     const std::uint64_t n_events =
         std::max<std::uint64_t>(1, res.baseline.events_fired);
     const std::uint64_t n_bus =
         std::max<std::uint64_t>(1, res.baseline.bus_accesses);
-
-    // Probe index window (defaults cover the whole run).
-    const auto windowed = [](std::uint64_t n, double lo, double hi) {
-        std::uint64_t first =
-            1 + static_cast<std::uint64_t>(lo * static_cast<double>(n));
-        std::uint64_t last =
-            static_cast<std::uint64_t>(hi * static_cast<double>(n));
-        first = std::min(first, n);
-        last = std::min(std::max(last, first), n);
-        return std::pair<std::uint64_t, std::uint64_t>{first, last};
-    };
-    const auto [e_lo, e_hi] =
-        windowed(n_events, opt.sweep_lo, opt.sweep_hi);
-    const auto [b_lo, b_hi] = windowed(n_bus, opt.sweep_lo, opt.sweep_hi);
 
     // Probe generation is split from execution so batches can be
     // farmed; the lists are exactly the schedules the serial loops
     // used to produce, in the same order.
 
     // Phase 1: bounded-systematic sweep. One delayed event per
-    // probe, seq striding across the window, cycling the delta
+    // probe, seq striding across the run, cycling the delta
     // ladder -- the swap-window enumeration.
     std::vector<SchedulePerturber> probes;
     if (opt.systematic_budget != 0) {
-        const std::uint64_t span = e_hi - e_lo + 1;
         const std::uint64_t stride =
-            std::max<std::uint64_t>(1, span / opt.systematic_budget);
+            std::max<std::uint64_t>(1, n_events / opt.systematic_budget);
         unsigned used = 0;
-        for (std::uint64_t seq = e_lo;
-             seq <= e_hi && used < opt.systematic_budget;
+        for (std::uint64_t seq = 1;
+             seq <= n_events && used < opt.systematic_budget;
              seq += stride, ++used) {
             SchedulePerturber p;
             p.delayEvent(seq, kDeltaLadder[used % kDeltaLadderSize]);
@@ -630,7 +380,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
         Rng rng(opt.seed, "chk.explorer.probes");
         for (unsigned t = 0; t < opt.random_budget; ++t) {
             SchedulePerturber p =
-                randomProbe(rng, opt, e_lo, e_hi, b_lo, b_hi);
+                randomProbe(rng, opt, n_events, n_bus);
             if (dedup &&
                 !corpus->markTried(scenario.name, p.format())) {
                 ++res.duplicate_probes_skipped;
@@ -643,11 +393,10 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
     // Execute in waves. Accounting is as-if-serial regardless of the
     // farm shape: a wave's extra speculative trials past the first
     // failure are never counted, so trials/failures/first_failing
-    // are independent of jobs, snapshots, and wave size. Waves grow
+    // are independent of jobs and wave size. Waves grow
     // geometrically: stop_at_first campaigns that fail early waste
     // little speculation, ones that run long amortize the farm.
-    const bool farmed =
-        farm_.jobs > 1 || (farm_.snapshots && farm::forkAvailable());
+    const bool farmed = farm_.jobs > 1;
     bool stop = false;
 
     // Serial, in-order accounting for one executed wave: count trials,
@@ -723,8 +472,7 @@ Explorer::explore(const Scenario &scenario, const ExploreOptions &opt)
                    generated < opt.random_budget) {
                 ++generated;
                 SchedulePerturber p =
-                    mutateProbe(mrng, pool, opt, e_lo, e_hi, b_lo,
-                                b_hi);
+                    mutateProbe(mrng, pool, opt, n_events, n_bus);
                 if (p.empty() ||
                     !corpus->markTried(scenario.name, p.format())) {
                     ++res.duplicate_probes_skipped;
@@ -826,8 +574,7 @@ Explorer::exploreExhaustive(const Scenario &scenario,
 
     // Same farmed wave execution and as-if-serial accounting as
     // explore()'s probe loop.
-    const bool farmed =
-        farm_.jobs > 1 || (farm_.snapshots && farm::forkAvailable());
+    const bool farmed = farm_.jobs > 1;
     std::size_t wave_size = farmed ? 4 : 1;
     const std::size_t wave_cap =
         farmed ? std::max<std::size_t>(std::size_t{farm_.jobs} * 4, 32)

@@ -102,17 +102,6 @@ struct ExploreOptions
     /** Fail the campaign when baseline coverage did not fire. */
     bool check_coverage = true;
     /**
-     * Probe index window, as fractions of the baseline index space:
-     * systematic and random probes only target event sequences and
-     * bus accesses in [sweep_lo, sweep_hi] x baseline count. The
-     * default sweeps the whole run. Narrowing to a late window
-     * focuses the campaign past a warmup prefix -- which the run
-     * farm then simulates once, snapshots, and shares across every
-     * probe in a wave instead of replaying it from tick 0.
-     */
-    double sweep_lo = 0.0;
-    double sweep_hi = 1.0;
-    /**
      * Coverage-guided mode: every probe trial runs signed, its
      * interleaving signatures feed the campaign's Corpus, and the
      * random phase mutates coverage-novel corpus entries (directive
@@ -234,13 +223,8 @@ class Explorer
      * results in probe order. Semantically identical to calling
      * runTrial() in a loop -- same TrialResults, digests included --
      * but farmed: with farm().jobs > 1 the probes run on that many
-     * worker threads, and with farm().snapshots (where fork() is
-     * available) the batch's shared unperturbed prefix -- everything
-     * before the earliest perturbed index -- is simulated once,
-     * parked, and fork-cloned per probe instead of re-run. Probes
-     * whose snapshot is unusable silently fall back to full runs.
-     * @p with_signatures runs every trial signed (the snapshot path
-     * records the shared prefix once, so children inherit it).
+     * worker threads, each trial a fresh machine from tick 0.
+     * @p with_signatures runs every trial signed.
      */
     std::vector<TrialResult>
     runTrials(const Scenario &scenario,

@@ -6,9 +6,6 @@
 #ifndef MACH_FARM_FARM_HH
 #define MACH_FARM_FARM_HH
 
-#include <cstdlib>
-
-#include "farm/fork_pool.hh"
 #include "farm/thread_pool.hh"
 
 namespace mach::farm
@@ -19,36 +16,15 @@ struct FarmOptions
 {
     /** Concurrent runs; 1 = the bit-exact serial path, no threads. */
     unsigned jobs = 1;
-    /**
-     * Allow fork-style prefix snapshots where the batch supports them
-     * (probes sharing an unperturbed warmup prefix). Snapshots never
-     * change results -- only whether the prefix is re-simulated.
-     */
-    bool snapshots = true;
-
-    /**
-     * Minimum shared-prefix length (in events) before a probe batch
-     * is worth fork-snapshotting: below it the re-simulation skipped
-     * per probe does not cover the fork/pipe overhead. 0 snapshots
-     * unconditionally. Like snapshots, this is purely a host-speed
-     * policy -- results are byte-identical at any floor.
-     */
-    std::uint64_t snapshot_floor = 4096;
 
     /**
      * Options from the environment: MACH_FARM_JOBS (width, default
-     * @p fallback_jobs), MACH_FARM_SNAPSHOTS (0 disables), and
-     * MACH_FARM_SNAPSHOT_FLOOR (prefix-events floor for snapshots).
+     * @p fallback_jobs).
      */
     static FarmOptions fromEnv(unsigned fallback_jobs = 1)
     {
         FarmOptions opt;
         opt.jobs = defaultJobs(fallback_jobs);
-        if (const char *env = std::getenv("MACH_FARM_SNAPSHOTS"))
-            opt.snapshots = env[0] != '0';
-        if (const char *env =
-                std::getenv("MACH_FARM_SNAPSHOT_FLOOR"))
-            opt.snapshot_floor = std::strtoull(env, nullptr, 0);
         return opt;
     }
 };

@@ -173,20 +173,4 @@ Machine::run(Tick until)
     return ctx_.run(until);
 }
 
-Machine::PrefixRun
-Machine::runPrefix(std::uint64_t event_watermark,
-                   std::uint64_t bus_watermark, Tick until)
-{
-    PrefixRun out;
-    const sim::EventQueue &queue = ctx_.queue();
-    out.events = ctx_.runGuarded(
-        until,
-        [&] {
-            return queue.scheduledCount() >= event_watermark ||
-                   busAccessTotal() >= bus_watermark;
-        },
-        &out.parked);
-    return out;
-}
-
 } // namespace mach::kern

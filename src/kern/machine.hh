@@ -75,7 +75,7 @@ class Machine
     unsigned numaNodes() const { return topo_.nodes(); }
     unsigned nodeOfCpu(CpuId id) const { return topo_.nodeOfCpu(id); }
 
-    /** Accesses priced across every node's bus (prefix watermarking). */
+    /** Accesses priced across every node's bus (trial digests, sampler). */
     std::uint64_t
     busAccessTotal() const
     {
@@ -183,36 +183,6 @@ class Machine
 
     /** Drive simulation until @p until or until the event queue drains. */
     std::uint64_t run(Tick until = ~Tick{0});
-
-    /** Outcome of runPrefix: how far the machine got and why it parked. */
-    struct PrefixRun
-    {
-        /** Events dispatched by this call. */
-        std::uint64_t events = 0;
-        /**
-         * True when the run parked at the requested watermark and can
-         * be resumed; false when it finished on its own (queue drained,
-         * time bound reached, or a stop was requested), in which case
-         * resuming would over-run what a single run() would have done.
-         */
-        bool parked = true;
-    };
-
-    /**
-     * Drive simulation like run(), but park (between events) as soon as
-     * the event queue's insertion count reaches @p event_watermark or
-     * the bus access count reaches @p bus_watermark. Both counters are
-     * deterministic, so the parked state is a replayable prefix of the
-     * unperturbed run: the run farm snapshots it (fork-style) and lets
-     * each perturbed probe resume from the snapshot instead of
-     * re-simulating from tick 0. Callers must leave slack below the
-     * smallest perturbed index -- the park point lands at the first
-     * event boundary at or past a watermark, and a single event may
-     * insert many events / issue many bus accesses before the check.
-     */
-    PrefixRun runPrefix(std::uint64_t event_watermark,
-                        std::uint64_t bus_watermark,
-                        Tick until = ~Tick{0});
 
   private:
     void timerTick(CpuId id);

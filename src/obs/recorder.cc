@@ -9,8 +9,6 @@ namespace mach::obs
 namespace
 {
 
-std::string g_process_file_tag;
-
 /** "12345678" ticks (ns) -> "12.345" (µs with fixed 3-digit fraction). */
 void
 appendMicros(std::string &out, Tick ts)
@@ -61,18 +59,6 @@ suffixedPath(const std::string &path, const std::string &tag)
     if (!has_ext)
         return path + "." + tag;
     return path.substr(0, dot) + "." + tag + path.substr(dot);
-}
-
-void
-setProcessFileTag(const std::string &tag)
-{
-    g_process_file_tag = tag;
-}
-
-const std::string &
-processFileTag()
-{
-    return g_process_file_tag;
 }
 
 Recorder::Recorder(Clock clock) : clock_(std::move(clock))
@@ -288,8 +274,7 @@ Recorder::toJson() const
 bool
 Recorder::writeJsonFile(const std::string &path) const
 {
-    const std::string decorated = suffixedPath(path, g_process_file_tag);
-    std::FILE *f = std::fopen(decorated.c_str(), "w");
+    std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;
     const std::string json = toJson();

@@ -74,18 +74,10 @@ struct Event
 
 /**
  * Suffix a file path before its extension: ("t.json", "seed0x1")
- * -> "t.seed0x1.json". Used to give every --repeat seed and every
- * fork-snapshot child its own trace file.
+ * -> "t.seed0x1.json". Used to give every --repeat seed its own
+ * trace file.
  */
 std::string suffixedPath(const std::string &path, const std::string &tag);
-
-/**
- * Process-wide trace-file suffix, set in fork-snapshot children so a
- * child's dump never clobbers its siblings' (farm::forkMany installs
- * "childN"). Empty in the parent.
- */
-void setProcessFileTag(const std::string &tag);
-const std::string &processFileTag();
 
 /** The per-machine timeline recorder. */
 class Recorder
@@ -169,10 +161,7 @@ class Recorder
      */
     std::string toJson() const;
 
-    /**
-     * Write toJson() to @p path (decorated with the process file tag
-     * when running in a fork child). Returns false on I/O failure.
-     */
+    /** Write toJson() to @p path. Returns false on I/O failure. */
     bool writeJsonFile(const std::string &path) const;
 
     // ---- Flight-recorder dump ----------------------------------------

@@ -116,36 +116,4 @@ Context::run(Tick until)
     return dispatched;
 }
 
-std::uint64_t
-Context::runGuarded(Tick until, const std::function<bool()> &stop_after,
-                    bool *hit_guard)
-{
-    MACH_ASSERT(Fiber::current() == nullptr);
-    MACH_ASSERT(!running_);
-    MACH_ASSERT(stop_after != nullptr);
-    running_ = true;
-    stop_requested_ = false;
-    *hit_guard = false;
-
-    std::uint64_t dispatched = 0;
-    while (!queue_.empty() && !stop_requested_) {
-        const Tick when = queue_.nextTime();
-        if (when > until)
-            break;
-        MACH_ASSERT(when >= now_);
-        now_ = when;
-        queue_.fireFront();
-        ++dispatched;
-        // A stop request wins over the guard: the run is complete, so
-        // resuming it would be wrong regardless of the watermark.
-        if (!stop_requested_ && stop_after()) {
-            *hit_guard = true;
-            break;
-        }
-    }
-
-    running_ = false;
-    return dispatched;
-}
-
 } // namespace mach::sim

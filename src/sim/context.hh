@@ -81,21 +81,6 @@ class Context
      */
     std::uint64_t run(Tick until = ~Tick{0});
 
-    /**
-     * Like run(), but additionally evaluates @p stop_after after every
-     * dispatched event and stops the loop once it returns true. Used by
-     * the run farm to park a machine at a prefix-snapshot point (a
-     * deterministic event-insertion / bus-access watermark) from which
-     * fork-style clones resume. On return *hit_guard says whether the
-     * guard ended the run (true) or the queue drained, time ran out, or
-     * a stop was requested (false) -- in the latter cases the run is
-     * complete and clones must not resume it, or they would drain
-     * events a stop-requested serial run leaves pending.
-     */
-    std::uint64_t runGuarded(Tick until,
-                             const std::function<bool()> &stop_after,
-                             bool *hit_guard);
-
     /** Make run() return after the current event completes. */
     void requestStop() { stop_requested_ = true; }
 

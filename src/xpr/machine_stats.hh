@@ -227,7 +227,7 @@ inline constexpr Counter<DeviceStats> kDeviceCounters[] = {
  * xpr event stream, the final clock, every CPU's TLB counters, and
  * the shootdown controller's counters. Equal digests mean equal runs
  * bit-for-bit; `machsim --repeat` prints one per seed and the farm
- * tests compare them across jobs/snapshot modes. The goldens in
+ * tests compare them across farm widths. The goldens in
  * tests/determinism_test.cc, tests/farm_determinism_test.cc and
  * perfbench/goldens.json pin this exact formula, which reads the
  * owners' counters, not the tables above.

@@ -153,5 +153,25 @@ TEST(TesterApp, WorksOnTinyMachine)
     EXPECT_EQ(result.analysis.user_initiator.events, 1u);
 }
 
+// A tester shape the machine cannot host is a configuration error: it
+// exits 1 naming both numbers, never an assertion abort.
+TEST(TesterAppDeathTest, TooManyChildrenIsFatal)
+{
+    hw::MachineConfig config = appConfig();
+    config.ncpus = 4;
+    const auto run = [&config](unsigned children) {
+        vm::Kernel kernel(config);
+        apps::ConsistencyTester tester(
+            {.children = children, .warmup = 10 * kMsec});
+        tester.execute(kernel);
+    };
+    EXPECT_EXIT(run(8), ::testing::ExitedWithCode(1),
+                "8 children on 4 CPUs");
+    EXPECT_EXIT(run(4), ::testing::ExitedWithCode(1),
+                "4 children on 4 CPUs");
+    EXPECT_EXIT(run(0), ::testing::ExitedWithCode(1),
+                "0 children on 4 CPUs");
+}
+
 } // namespace
 } // namespace mach

@@ -117,15 +117,14 @@ TEST(CommittedCorpus, ShipsTheExpectedCampaigns)
  * The golden replay: every committed entry, at every farm shape. The
  * corpus records (scenario, schedule, digest, verdict); replaying the
  * schedule must reproduce digest and verdict bit-exactly whether the
- * batch runs serially, on 2 workers, or on 4 with fork snapshots.
+ * batch runs serially, on 2 workers, or on 4.
  */
 TEST(CommittedCorpus, EveryEntryReplaysBitExactlyAtFarmShapes124)
 {
     const chk::Corpus &corpus = committedCorpus();
     ASSERT_FALSE(corpus.entries().empty());
 
-    // Group by scenario so each batch shares a baseline (and a
-    // fork-snapshot prefix).
+    // Group by scenario so each batch is one runTrials() call.
     std::map<std::string, std::vector<const chk::CorpusEntry *>>
         by_scenario;
     for (const chk::CorpusEntry &e : corpus.entries())

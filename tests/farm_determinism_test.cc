@@ -4,7 +4,7 @@
  * nothing else. Every observable result -- explorer verdicts, trial
  * counts, minimized schedules, and the determinism golden digests --
  * must be bit-identical whatever the farm shape: 1 or 8 worker
- * threads, fork snapshots on or off, main thread or pool worker.
+ * threads, main thread or pool worker.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "chk/explorer.hh"
 #include "chk/scenario.hh"
 #include "farm/farm.hh"
-#include "farm/fork_pool.hh"
 #include "farm/thread_pool.hh"
 #include "vm/kernel.hh"
 #include "xpr/machine_stats.hh"
@@ -31,7 +29,7 @@ namespace
 
 using namespace mach;
 
-/** The four farm shapes every result must be invariant under. */
+/** The farm shapes every result must be invariant under. */
 struct Shape
 {
     const char *name;
@@ -39,10 +37,8 @@ struct Shape
 };
 
 const Shape kShapes[] = {
-    {"serial", {1, false}},
-    {"jobs8", {8, false}},
-    {"snapshots", {1, true}},
-    {"jobs8+snapshots", {8, true}},
+    {"serial", {1}},
+    {"jobs8", {8}},
 };
 
 // ---------------------------------------------------------------------
@@ -66,21 +62,6 @@ TEST(FarmPool, RunManyExecutesEveryJobOnceAcrossWidths)
         for (unsigned i = 0; i < kJobs; ++i)
             EXPECT_EQ(per_job[i].load(), 1u)
                 << "job " << i << ", " << workers << " workers";
-    }
-}
-
-TEST(FarmPool, ForkManyReturnsChildPayloadsInOrder)
-{
-    if (!farm::forkAvailable())
-        GTEST_SKIP() << "fork isolation unavailable on this build";
-    const std::vector<std::optional<std::string>> got = farm::forkMany(
-        5, 3, [](unsigned index) {
-            return "child-" + std::to_string(index * 7);
-        });
-    ASSERT_EQ(got.size(), 5u);
-    for (unsigned i = 0; i < 5; ++i) {
-        ASSERT_TRUE(got[i].has_value()) << i;
-        EXPECT_EQ(*got[i], "child-" + std::to_string(i * 7));
     }
 }
 

@@ -497,7 +497,7 @@ TEST(NumaDeterminism, FarmShapeInvarianceOnNumaScenario)
         want.push_back(serial.runTrial(*storm, p));
 
     // MACH_FARM_JOBS=4: four pool workers must replay bit-identically.
-    const chk::Explorer farmed(nullptr, farm::FarmOptions{4, false});
+    const chk::Explorer farmed(nullptr, farm::FarmOptions{4});
     const std::vector<chk::TrialResult> got =
         farmed.runTrials(*storm, probes);
     ASSERT_EQ(got.size(), want.size());

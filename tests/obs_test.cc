@@ -343,8 +343,9 @@ validateSpanBalance(const std::vector<ParsedEvent> &events,
     EXPECT_GT(counts[0], 0u) << "no spans";
     EXPECT_GT(counts[1], 0u) << "no span ends";
     EXPECT_GT(counts[2], 0u) << "no instants";
-    if (expect_counters)
+    if (expect_counters) {
         EXPECT_GT(counts[3], 0u) << "no counter samples";
+    }
 }
 
 /**

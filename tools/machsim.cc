@@ -16,11 +16,16 @@
  * Run `machsim --help` for the full flag list.
  */
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "apps/agora.hh"
 #include "apps/camelot.hh"
@@ -309,6 +314,42 @@ usage()
         "  --iotlb-entries N   per-device IOTLB capacity (default 8)\n");
 }
 
+/**
+ * The value of @p flag parsed from @p text: a whole number in range
+ * for the unsigned type T (in @p base, where 0 also takes 0x-hex and
+ * 0-octal), or a finite number for a floating-point T. fatal()s naming
+ * the flag and the text when the value is empty, has trailing
+ * characters, is negative, or is out of range.
+ */
+template <typename T>
+T
+numberValue(const std::string &flag, const char *text, int base = 10)
+{
+    // strtoull/strtod skip leading blanks and strtoull negates "-1";
+    // reject both up front so only the number itself is accepted.
+    const bool blank =
+        *text == '\0' || std::isspace(static_cast<unsigned char>(*text));
+    char *end = nullptr;
+    errno = 0;
+    if constexpr (std::is_floating_point_v<T>) {
+        const double v = std::strtod(text, &end);
+        if (blank || errno == ERANGE || *end != '\0' || !std::isfinite(v))
+            fatal("bad value '%s' for %s (want a finite number)", text,
+                  flag.c_str());
+        return static_cast<T>(v);
+    } else {
+        static_assert(std::is_unsigned_v<T>);
+        const unsigned long long v = std::strtoull(text, &end, base);
+        constexpr unsigned long long kMax = std::numeric_limits<T>::max();
+        if (blank || *text == '-' || errno == ERANGE || *end != '\0' ||
+            v > kMax)
+            fatal("bad value '%s' for %s (want a whole number from 0 to "
+                  "%llu)",
+                  text, flag.c_str(), kMax);
+        return static_cast<T>(v);
+    }
+}
+
 bool
 parse(int argc, char **argv, Options *opt)
 {
@@ -325,53 +366,55 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--app") {
             opt->app = need_value(i);
         } else if (flag == "--ncpus") {
-            opt->ncpus = static_cast<unsigned>(atoi(need_value(i)));
+            opt->ncpus = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--pools") {
-            opt->pools = static_cast<unsigned>(atoi(need_value(i)));
+            opt->pools = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--seed") {
-            opt->seed = strtoull(need_value(i), nullptr, 0);
+            opt->seed =
+                numberValue<std::uint64_t>(flag, need_value(i), 0);
         } else if (flag == "--children") {
-            opt->children = static_cast<unsigned>(atoi(need_value(i)));
+            opt->children = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--build-jobs") {
             opt->build_jobs =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--jobs") {
             opt->farm_jobs =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--repeat") {
-            opt->repeat = static_cast<unsigned>(atoi(need_value(i)));
+            opt->repeat = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--seed-base") {
-            opt->seed_base = strtoull(need_value(i), nullptr, 0);
+            opt->seed_base =
+                numberValue<std::uint64_t>(flag, need_value(i), 0);
             opt->seed_base_set = true;
         } else if (flag == "--transactions") {
             opt->transactions =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--tenants") {
-            opt->tenants = static_cast<unsigned>(atoi(need_value(i)));
+            opt->tenants = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--tenant-concurrency") {
             opt->tenant_concurrency =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--tenant-threads") {
             opt->tenant_threads =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--requests") {
-            opt->requests = static_cast<unsigned>(atoi(need_value(i)));
+            opt->requests = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--ws-pages") {
-            opt->ws_pages = static_cast<unsigned>(atoi(need_value(i)));
+            opt->ws_pages = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--binary-pages") {
             opt->binary_pages =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--mmap-pages") {
             opt->mmap_pages =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--sharing") {
-            opt->sharing = atof(need_value(i));
+            opt->sharing = numberValue<double>(flag, need_value(i));
         } else if (flag == "--fault-mix") {
-            opt->fault_mix = atof(need_value(i));
+            opt->fault_mix = numberValue<double>(flag, need_value(i));
         } else if (flag == "--zipf") {
-            opt->zipf_s = atof(need_value(i));
+            opt->zipf_s = numberValue<double>(flag, need_value(i));
         } else if (flag == "--runs") {
-            opt->runs = static_cast<unsigned>(atoi(need_value(i)));
+            opt->runs = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--lazy") {
             opt->lazy = std::strcmp(need_value(i), "off") != 0;
         } else if (flag == "--no-shootdown") {
@@ -395,7 +438,7 @@ parse(int argc, char **argv, Options *opt)
             opt->shootdown_policy = need_value(i);
         } else if (flag == "--tlb-assoc") {
             opt->tlb_assoc =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--no-l0") {
             opt->no_l0 = true;
         } else if (flag == "--trace") {
@@ -408,12 +451,12 @@ parse(int argc, char **argv, Options *opt)
             opt->corpus_dir = need_value(i);
         } else if (flag == "--explore") {
             opt->explore_budget =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--blind") {
             opt->explore_blind = true;
         } else if (flag == "--systematic") {
             opt->systematic_budget =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--exhaustive-window") {
             opt->exhaustive_window = need_value(i);
         } else if (flag == "--oracle") {
@@ -421,9 +464,11 @@ parse(int argc, char **argv, Options *opt)
         } else if (flag == "--trace-json") {
             opt->trace_json = need_value(i);
         } else if (flag == "--stats-interval") {
-            opt->stats_interval = strtoull(need_value(i), nullptr, 0);
+            opt->stats_interval =
+                numberValue<std::uint64_t>(flag, need_value(i), 0);
         } else if (flag == "--obs-cost") {
-            opt->obs_cost = strtoull(need_value(i), nullptr, 0);
+            opt->obs_cost =
+                numberValue<std::uint64_t>(flag, need_value(i), 0);
         } else if (flag == "--flight-recorder") {
             opt->flight_recorder = need_value(i);
         } else if (flag == "--stats-json") {
@@ -432,24 +477,24 @@ parse(int argc, char **argv, Options *opt)
             opt->xpr_rows = true;
         } else if (flag == "--numa") {
             opt->numa_nodes =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--cpus-per-node") {
             opt->cpus_per_node =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--distance") {
             opt->distance = need_value(i);
         } else if (flag == "--placement") {
             opt->placement = need_value(i);
         } else if (flag == "--migrate-threshold") {
             opt->migrate_threshold =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--pt-replicas") {
             opt->pt_replicas = true;
         } else if (flag == "--devices") {
-            opt->devices = static_cast<unsigned>(atoi(need_value(i)));
+            opt->devices = numberValue<unsigned>(flag, need_value(i));
         } else if (flag == "--iotlb-entries") {
             opt->iotlb_entries =
-                static_cast<unsigned>(atoi(need_value(i)));
+                numberValue<unsigned>(flag, need_value(i));
         } else {
             fatal("unknown flag '%s' (try --help)", flag.c_str());
         }
@@ -487,8 +532,8 @@ toConfig(const Options &opt)
         // a full ;-separated matrix handed to the topology parser.
         if (opt.distance.find_first_not_of("0123456789") ==
             std::string::npos) {
-            config.numa_remote_distance = static_cast<unsigned>(
-                atoi(opt.distance.c_str()));
+            config.numa_remote_distance = numberValue<unsigned>(
+                "--distance", opt.distance.c_str());
         } else {
             config.numa_distance_spec = opt.distance;
         }
@@ -619,8 +664,8 @@ runBatch(const Options &opt, const SchedulePerturber &perturber)
                 makeApp(one, &tester);
 
             // Each seed records its own timeline into its own file,
-            // suffixed by seed so concurrent farm workers (or fork
-            // children, via the process file tag) never collide.
+            // suffixed by seed so concurrent farm workers never
+            // collide.
             obs::Recorder &rec = kernel.machine().recorder();
             std::unique_ptr<obs::Sampler> sampler;
             if (!one.trace_json.empty()) {
@@ -815,14 +860,17 @@ runCheckerScenario(const Options &opt,
     if (!opt.exhaustive_window.empty()) {
         // --exhaustive-window C:K -- the bounded, complete enumeration.
         chk::ExhaustiveWindow window;
-        char *end = nullptr;
-        window.center =
-            strtoull(opt.exhaustive_window.c_str(), &end, 0);
-        if (end == nullptr || *end != ':')
+        const std::size_t colon = opt.exhaustive_window.find(':');
+        if (colon == std::string::npos)
             fatal("bad --exhaustive-window '%s' (want "
                   "center:halfwidth)",
                   opt.exhaustive_window.c_str());
-        window.halfwidth = strtoull(end + 1, nullptr, 0);
+        window.center = numberValue<std::uint64_t>(
+            "--exhaustive-window",
+            opt.exhaustive_window.substr(0, colon).c_str(), 0);
+        window.halfwidth = numberValue<std::uint64_t>(
+            "--exhaustive-window",
+            opt.exhaustive_window.substr(colon + 1).c_str(), 0);
         std::printf("machsim: chk scenario %s, exhaustive window "
                     "%llu +- %llu\n",
                     scenario->name.c_str(),
