@@ -37,6 +37,9 @@ struct AppRun
     std::string label;
     apps::WorkloadResult result;
     Tick runtime = 0;
+    /** Events scheduled, and how many were wakes taken in place. */
+    std::uint64_t events_scheduled = 0;
+    std::uint64_t in_place_wakes = 0;
 };
 
 /**
@@ -105,6 +108,9 @@ runApp(unsigned index, const hw::MachineConfig &config)
     run.label = appLabel(index);
     run.result = app->execute(kernel);
     run.runtime = run.result.virtual_runtime;
+    sim::Context &ctx = kernel.machine().ctx();
+    run.events_scheduled = ctx.queue().scheduledCount();
+    run.in_place_wakes = ctx.inPlaceWakes();
     return run;
 }
 

@@ -11,9 +11,10 @@
  *   - tlb_churn:       insert/lookup/invalidate/flush churn through one
  *                      hw::Tlb, in ns per lookup;
  *   - shootdown_storm: the Section 5.1 consistency tester on 16 CPUs,
- *                      in simulated us per host ms;
+ *                      in simulated us per host ms, with the share of
+ *                      events that were in-place wakes;
  *   - app suite:       the four Section 5.2 applications (scaled by
- *                      MACH_BENCH_SCALE), same unit;
+ *                      MACH_BENCH_SCALE), same units;
  *   - explorer_sweep:  a late-window explorer probe batch run serial
  *                      vs on eight farm worker threads, with a
  *                      bit-identical-results check, in x speedup;
@@ -327,6 +328,19 @@ benchPageWalk(unsigned scale)
     return r;
 }
 
+/**
+ * Append the share of all scheduled events that were fiber wakes taken
+ * in place (sim::Context::skipTo) -- the dispatch fast path's reach.
+ */
+void
+addInPlaceWakeFrac(Result &r, std::uint64_t events, std::uint64_t in_place)
+{
+    r.extras.emplace_back("in_place_wake_frac",
+                          static_cast<double>(in_place) /
+                              static_cast<double>(std::max<std::uint64_t>(
+                                  1, events)));
+}
+
 /** The Section 5.1 tester as a 16-CPU shootdown storm. */
 Result
 benchShootdownStorm(unsigned scale)
@@ -334,6 +348,8 @@ benchShootdownStorm(unsigned scale)
     setLogQuiet(true);
     const auto begin = Clock::now();
     Tick sim_time = 0;
+    std::uint64_t events = 0;
+    std::uint64_t in_place = 0;
     for (unsigned round = 0; round < scale; ++round) {
         hw::MachineConfig config;
         config.seed = 0x5702 + round;
@@ -344,6 +360,9 @@ benchShootdownStorm(unsigned scale)
         if (!tester.consistent())
             fatal("host_perf: shootdown storm detected inconsistency");
         sim_time += kernel.machine().now();
+        sim::Context &ctx = kernel.machine().ctx();
+        events += ctx.queue().scheduledCount();
+        in_place += ctx.inPlaceWakes();
     }
 
     Result r;
@@ -352,8 +371,10 @@ benchShootdownStorm(unsigned scale)
     r.metric = "sim_us_per_host_ms";
     r.kind = bench::MetricKind::HostHigher;
     r.rate = static_cast<double>(sim_time / kUsec) / r.host_ms;
-    std::printf("  shootdown_storm:  %9.1f ms  %12.1f sim-us/host-ms\n",
-                r.host_ms, r.rate);
+    addInPlaceWakeFrac(r, events, in_place);
+    std::printf("  shootdown_storm:  %9.1f ms  %12.1f sim-us/host-ms "
+                "(%.3f of events were in-place wakes)\n",
+                r.host_ms, r.rate, r.extras.back().second);
     return r;
 }
 
@@ -364,9 +385,13 @@ benchAppSuite()
     setLogQuiet(true);
     const auto begin = Clock::now();
     Tick sim_time = 0;
+    std::uint64_t events = 0;
+    std::uint64_t in_place = 0;
     for (unsigned index = 0; index < 4; ++index) {
         const bench::AppRun run = bench::runApp(index, {});
         sim_time += run.runtime;
+        events += run.events_scheduled;
+        in_place += run.in_place_wakes;
     }
 
     Result r;
@@ -375,8 +400,10 @@ benchAppSuite()
     r.metric = "sim_us_per_host_ms";
     r.kind = bench::MetricKind::HostHigher;
     r.rate = static_cast<double>(sim_time / kUsec) / r.host_ms;
-    std::printf("  app_suite:        %9.1f ms  %12.1f sim-us/host-ms\n",
-                r.host_ms, r.rate);
+    addInPlaceWakeFrac(r, events, in_place);
+    std::printf("  app_suite:        %9.1f ms  %12.1f sim-us/host-ms "
+                "(%.3f of events were in-place wakes)\n",
+                r.host_ms, r.rate, r.extras.back().second);
     return r;
 }
 

@@ -77,6 +77,10 @@ MachBuild::job(vm::Kernel &kernel, kern::Thread &self,
 void
 MachBuild::run(vm::Kernel &kernel, kern::Thread &driver)
 {
+    if (params_.jobs == 0)
+        fatal("MachBuild: build jobs must be at least 1 (got 0)");
+    if (params_.concurrency == 0)
+        fatal("MachBuild: job concurrency must be at least 1 (got 0)");
     kern::Mutex unix_server("unix-server");
 
     struct JobSlot

@@ -183,6 +183,17 @@ Serving::run(vm::Kernel &kernel, kern::Thread &driver)
     // the kernel already holds stay held.
     if (params_.concurrency == 0)
         fatal("Serving: tenant concurrency must be at least 1");
+    // Parameters that would run an empty or meaningless campaign and
+    // still report success fail up front too.
+    if (params_.tenants == 0)
+        fatal("Serving: tenants must be at least 1 (got 0)");
+    if (params_.requests_per_tenant == 0)
+        fatal("Serving: requests per tenant must be at least 1 (got 0)");
+    if (!(params_.zipf_s >= 0.0))
+        fatal("Serving: zipf skew must be >= 0 (got %g)", params_.zipf_s);
+    if (!(params_.sharing >= 0.0 && params_.sharing <= 1.0))
+        fatal("Serving: sharing must lie in [0, 1] (got %g)",
+              params_.sharing);
     const std::uint64_t live =
         std::min(params_.tenants, params_.concurrency);
     const std::uint64_t siblings =

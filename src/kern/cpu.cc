@@ -132,6 +132,10 @@ Cpu::preemptibleSleep(Tick dt)
               id_, ctx.fiberName(ctx.currentFiber()).c_str(),
               ctx.fiberName(sleeping_fiber_).c_str());
     }
+    // Nothing can post an interrupt before a wake that fires next, so
+    // such a sleep cannot be cut short: take it in place.
+    if (ctx.skipTo(ctx.now() + dt))
+        return;
     sleeping_fiber_ = ctx.currentFiber();
     sleep_event_ = ctx.scheduleWake(sleeping_fiber_, ctx.now() + dt);
     ctx.block();

@@ -167,7 +167,8 @@ class Cpu
     /**
      * Sleep up to @p dt; returns early when kicked by a deliverable
      * interrupt posting. Spurious early wakeups are possible and are
-     * handled by the callers' loops.
+     * handled by the callers' loops. A sleep whose wake is the next
+     * event advances the clock in place (sim::Context::skipTo).
      */
     void preemptibleSleep(Tick dt);
 

@@ -71,8 +71,21 @@ Context::cancel(EventId id)
 void
 Context::sleep(Tick dt)
 {
+    if (skipTo(now_ + dt))
+        return;
     scheduleWake(currentFiber(), now_ + dt);
     block();
+}
+
+bool
+Context::skipTo(Tick when)
+{
+    MACH_ASSERT(current_id_ != 0);
+    if (!running_ || stop_requested_ || !queue_.claimNext(&when, until_))
+        return false;
+    now_ = when;
+    ++in_place_wakes_;
+    return true;
 }
 
 void
@@ -97,7 +110,9 @@ Context::run(Tick until)
     MACH_ASSERT(Fiber::current() == nullptr);
     MACH_ASSERT(!running_);
     running_ = true;
+    until_ = until;
     stop_requested_ = false;
+    const std::uint64_t in_place_before = in_place_wakes_;
 
     // The queue dispatches whole ticks at a time: all the bookkeeping
     // of finding, sweeping, and popping the front bucket is paid once
@@ -113,7 +128,7 @@ Context::run(Tick until)
     }
 
     running_ = false;
-    return dispatched;
+    return dispatched + (in_place_wakes_ - in_place_before);
 }
 
 } // namespace mach::sim

@@ -4,7 +4,9 @@
  *
  * One Context underlies one simulated machine. Code running inside fibers
  * advances time by sleeping on the context; the run loop interleaves all
- * fibers in deterministic (time, sequence) order.
+ * fibers in deterministic (time, sequence) order. A sleep whose wake
+ * would fire before every pending event has nothing to interleave
+ * with, so it moves the clock in place instead (skipTo).
  */
 
 #ifndef MACH_SIM_CONTEXT_HH
@@ -71,18 +73,35 @@ class Context
 
     /**
      * From within a fiber: advance simulated time by @p dt without any
-     * possibility of early wakeup.
+     * possibility of early wakeup. Tries skipTo() first, so a sleep
+     * that nothing could interleave with costs no event and no switch.
      */
     void sleep(Tick dt);
 
     /**
+     * From within a fiber: the in-place wake. If the current fiber's
+     * wake at @p when would be the very next event run() fires -- the
+     * queue's claimNext() holds, within run()'s horizon and with no
+     * stop requested -- reserve its sequence number, move the clock
+     * to the (perturbed) wake time and return true without inserting
+     * an event or leaving the fiber. Otherwise return false and change
+     * nothing; the caller schedules the wake and blocks as usual.
+     */
+    bool skipTo(Tick when);
+
+    /**
      * Drain events until the queue is empty or simulated time would pass
-     * @p until. Returns the number of events dispatched.
+     * @p until. Returns the number of events dispatched, counting each
+     * in-place wake (skipTo) as the event it stands for, so the count
+     * is the same as if every wake had been queued.
      */
     std::uint64_t run(Tick until = ~Tick{0});
 
     /** Make run() return after the current event completes. */
     void requestStop() { stop_requested_ = true; }
+
+    /** Wakes taken in place by skipTo() over this context's life. */
+    std::uint64_t inPlaceWakes() const { return in_place_wakes_; }
 
     /** Number of live (spawned, unfinished) fibers. */
     std::size_t liveFiberCount() const { return fibers_.size(); }
@@ -100,6 +119,9 @@ class Context
 
     EventQueue queue_;
     Tick now_ = 0;
+    /** The horizon of the run() in progress. */
+    Tick until_ = 0;
+    std::uint64_t in_place_wakes_ = 0;
     bool stop_requested_ = false;
     bool running_ = false;
     FiberId next_fiber_id_ = 1;

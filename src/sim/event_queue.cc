@@ -355,6 +355,26 @@ EventQueue::compact()
 
 // ---- Dispatch -----------------------------------------------------------
 
+bool
+EventQueue::claimNext(Tick *when, Tick until)
+{
+    Tick at = *when;
+    if (perturber_ != nullptr)
+        at += perturber_->eventDelay(next_seq_);
+    if (at > until)
+        return false;
+    if (live_ != 0) {
+        // A pending event at the same tick was scheduled earlier, so
+        // it would fire first: only a strictly earlier time is next.
+        sweepFront();
+        if (heap_.front().when <= at)
+            return false;
+    }
+    ++next_seq_;
+    *when = at;
+    return true;
+}
+
 Tick
 EventQueue::nextTime() const
 {

@@ -132,7 +132,25 @@ class EventQueue
     std::uint64_t fireTickBatch(Tick until, Tick *now,
                                 const bool *stop);
 
-    /** Total events ever scheduled (monotonic; used by micro benches). */
+    /**
+     * Conservative lookahead for the sleep path. Treat @p *when plus
+     * the next insertion sequence's perturbation delay as a would-be
+     * event; if it would fire next -- strictly before every pending
+     * event, and no later than @p until -- consume that sequence
+     * exactly as scheduleRaw would, store the perturbed time into
+     * @p *when and return true. Nothing is inserted: the caller
+     * applies the event's effect itself. Otherwise change nothing and
+     * return false, so the caller schedules as usual. Because the
+     * claimed event could not have interleaved with any other, the
+     * (time, seq) order, `e<seq>` addressing and scheduledCount() are
+     * the same as if it had been queued and fired.
+     */
+    bool claimNext(Tick *when, Tick until);
+
+    /**
+     * Total events ever scheduled, claimNext() reservations included
+     * (monotonic; used by micro benches and trial digests).
+     */
     std::uint64_t scheduledCount() const { return next_seq_ - 1; }
 
     /**

@@ -15,7 +15,9 @@
  * the signal mask with an rt_sigprocmask syscall per switch, which
  * dominates switch cost, while _setjmp/_longjmp are pure user-space
  * register save/restore. The simulator never relies on per-fiber
- * signal masks, so the two are equivalent here.
+ * signal masks, so the two are equivalent here. Under ThreadSanitizer
+ * every switch is announced through its fiber API, without which TSan
+ * cannot match a _longjmp to the _setjmp made on the other stack.
  */
 
 #ifndef MACH_SIM_FIBER_HH
@@ -28,7 +30,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 namespace mach::sim
 {
@@ -39,7 +40,11 @@ class Fiber
   public:
     using Entry = std::function<void()>;
 
-    /** Default stack size; generous because VM fault paths nest deeply. */
+    /**
+     * Default stack size; generous because VM fault paths nest deeply.
+     * The stack is left uninitialized, so only the pages a fiber
+     * actually touches are ever faulted in.
+     */
     static constexpr std::size_t kDefaultStackSize = 256 * 1024;
 
     /**
@@ -83,7 +88,10 @@ class Fiber
 
     std::string name_;
     Entry entry_;
-    std::vector<unsigned char> stack_;
+    std::unique_ptr<unsigned char[]> stack_;
+    std::size_t stack_size_;
+    /** ThreadSanitizer's context for this stack (null without TSan). */
+    void *tsan_ctx_;
     /** First-entry context (stack setup); unused after start(). */
     ucontext_t context_;
     /** Resume point of a blocked fiber (set by yieldToScheduler). */

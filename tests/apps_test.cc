@@ -173,5 +173,20 @@ TEST(TesterAppDeathTest, TooManyChildrenIsFatal)
                 "0 children on 4 CPUs");
 }
 
+// A build with no jobs, or no job slots, would otherwise report an
+// empty run (or reap from an empty pipeline): both exit 1 by name.
+TEST(MachBuildAppDeathTest, ZeroJobsOrConcurrencyIsFatal)
+{
+    const auto run = [](unsigned jobs, unsigned concurrency) {
+        vm::Kernel kernel(appConfig());
+        apps::MachBuild app({.jobs = jobs, .concurrency = concurrency});
+        app.execute(kernel);
+    };
+    EXPECT_EXIT(run(0, 14), ::testing::ExitedWithCode(1),
+                "build jobs must be at least 1 \\(got 0\\)");
+    EXPECT_EXIT(run(12, 0), ::testing::ExitedWithCode(1),
+                "job concurrency must be at least 1 \\(got 0\\)");
+}
+
 } // namespace
 } // namespace mach

@@ -436,6 +436,36 @@ TEST(Interrupts, KickWakesSleepingCpuPromptly)
     });
 }
 
+// While one CPU's sleep is pending, another CPU's shorter waits end
+// first and advance in place; an IPI one of them posts inside the
+// sleeper's window must still cut that window short.
+TEST(Interrupts, IpiPostedInsideSleepWindowWakesSleeperEarly)
+{
+    inKernel(smallConfig(2), [](vm::Kernel &kernel, kern::Thread &drv) {
+        kern::Machine &m = kernel.machine();
+        Tick handled_at = 0;
+        m.setIrqHandler(hw::Irq::Shootdown, [&](kern::Cpu &) {
+            handled_at = m.now();
+        });
+
+        kern::Thread *sleeper = kernel.spawnThread(
+            nullptr, "computer",
+            [](kern::Thread &self) { self.compute(500 * kMsec); }, 1);
+        drv.sleep(5 * kMsec);
+        const std::uint64_t in_place = m.ctx().inPlaceWakes();
+        for (int i = 0; i < 100; ++i)
+            drv.cpu().spinOnce();
+        EXPECT_GT(m.ctx().inPlaceWakes(), in_place);
+        const Tick posted_at = m.now();
+        m.intr().post(1, hw::Irq::Shootdown, posted_at);
+        drv.sleep(5 * kMsec);
+        // Woken by the kick at IPI latency, not at its own deadline.
+        EXPECT_GE(handled_at, posted_at + m.cfg().ipi_latency);
+        EXPECT_LT(handled_at - posted_at, 1 * kMsec);
+        drv.join(*sleeper);
+    });
+}
+
 TEST(Interrupts, TimerInterruptsFireOnBusyCpus)
 {
     hw::MachineConfig config = smallConfig(2);

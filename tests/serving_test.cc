@@ -243,6 +243,33 @@ TEST(ServingDeathTest, ZeroConcurrencyIsFatal)
                 "concurrency must be at least 1");
 }
 
+// A campaign with nothing to serve, or knobs outside their range,
+// would otherwise run and report success.
+TEST(ServingDeathTest, EmptyOrOutOfRangeCampaignIsFatal)
+{
+    const auto with = [](auto edit) {
+        apps::Serving::Params params = smallParams();
+        edit(params);
+        return params;
+    };
+    EXPECT_EXIT(runServing(with([](auto &p) { p.tenants = 0; })),
+                ::testing::ExitedWithCode(1),
+                "tenants must be at least 1 \\(got 0\\)");
+    EXPECT_EXIT(
+        runServing(with([](auto &p) { p.requests_per_tenant = 0; })),
+        ::testing::ExitedWithCode(1),
+        "requests per tenant must be at least 1 \\(got 0\\)");
+    EXPECT_EXIT(runServing(with([](auto &p) { p.zipf_s = -1.0; })),
+                ::testing::ExitedWithCode(1),
+                "zipf skew must be >= 0 \\(got -1\\)");
+    EXPECT_EXIT(runServing(with([](auto &p) { p.sharing = 2.5; })),
+                ::testing::ExitedWithCode(1),
+                "sharing must lie in \\[0, 1\\] \\(got 2.5\\)");
+    EXPECT_EXIT(runServing(with([](auto &p) { p.sharing = -0.1; })),
+                ::testing::ExitedWithCode(1),
+                "sharing must lie in \\[0, 1\\] \\(got -0.1\\)");
+}
+
 TEST(ServingDeathTest, TenantLargerThanMemoryIsFatal)
 {
     apps::Serving::Params params = smallParams();

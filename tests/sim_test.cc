@@ -410,5 +410,120 @@ TEST(EventQueue, ManySameTickEventsUseOneHeapSlot)
     }
 }
 
+// ---------------------------------------------------------------------
+// In-place wakes: a sleep whose wake would fire next moves the clock
+// without an event or a fiber switch, and is otherwise invisible.
+// ---------------------------------------------------------------------
+
+TEST(Context, LoneSleeperAdvancesInPlace)
+{
+    Context ctx;
+    std::uint64_t seq_before = 0;
+    std::uint64_t seq_after = 0;
+    ctx.spawn("sleeper", [&] {
+        seq_before = ctx.queue().scheduledCount();
+        ctx.sleep(100);
+        seq_after = ctx.queue().scheduledCount();
+        EXPECT_EQ(ctx.now(), 100u);
+        EXPECT_TRUE(ctx.queue().empty());
+    });
+    // The start wake plus the in-place wake, as if both were queued.
+    EXPECT_EQ(ctx.run(), 2u);
+    EXPECT_EQ(seq_after, seq_before + 1);
+    EXPECT_EQ(ctx.inPlaceWakes(), 1u);
+}
+
+TEST(Context, PendingEventAtOrBeforeWakeForcesQueuedPath)
+{
+    for (const Tick pending_at : {Tick{100}, Tick{50}}) {
+        Context ctx;
+        std::string trace;
+        ctx.scheduleCall(pending_at, [&] { trace += 'c'; });
+        ctx.spawn("sleeper", [&] {
+            ctx.sleep(100);
+            trace += 's';
+            EXPECT_EQ(ctx.now(), 100u);
+        });
+        EXPECT_EQ(ctx.run(), 3u);
+        // Same tick: the earlier-scheduled call fires first (FIFO).
+        EXPECT_EQ(trace, "cs") << "pending at " << pending_at;
+        EXPECT_EQ(ctx.inPlaceWakes(), 0u) << "pending at " << pending_at;
+    }
+}
+
+TEST(Context, PerturbedReservedSeqDelaysInPlaceWake)
+{
+    // Seq 1 is the sleeper's start wake, seq 2 its sleep's wake.
+    SchedulePerturber perturber;
+    perturber.delayEvent(2, 7);
+    Context ctx;
+    ctx.queue().setPerturber(&perturber);
+    Tick woke_at = 0;
+    ctx.spawn("sleeper", [&] {
+        ctx.sleep(100);
+        woke_at = ctx.now();
+    });
+    EXPECT_EQ(ctx.run(), 2u);
+    EXPECT_EQ(woke_at, 107u);
+    EXPECT_EQ(ctx.inPlaceWakes(), 1u);
+    ctx.queue().setPerturber(nullptr);
+}
+
+TEST(Context, PerturbationPastPendingEventForcesQueuedPath)
+{
+    // Unperturbed, the wake at 100 would precede the call at 103; the
+    // directive pushes it to 107, behind the call.
+    SchedulePerturber perturber;
+    perturber.delayEvent(3, 7);
+    Context ctx;
+    ctx.queue().setPerturber(&perturber);
+    std::string trace;
+    ctx.scheduleCall(103, [&] { trace += 'c'; });
+    ctx.spawn("sleeper", [&] {
+        ctx.sleep(100);
+        trace += 's';
+        EXPECT_EQ(ctx.now(), 107u);
+    });
+    EXPECT_EQ(ctx.run(), 3u);
+    EXPECT_EQ(trace, "cs");
+    EXPECT_EQ(ctx.inPlaceWakes(), 0u);
+    ctx.queue().setPerturber(nullptr);
+}
+
+TEST(Context, WakePastRunHorizonStaysBlocked)
+{
+    Context ctx;
+    Tick woke_at = 0;
+    ctx.spawn("sleeper", [&] {
+        ctx.sleep(100);
+        woke_at = ctx.now();
+    });
+    EXPECT_EQ(ctx.run(50), 1u); // Only the start wake.
+    EXPECT_EQ(woke_at, 0u);
+    EXPECT_EQ(ctx.now(), 0u);
+    EXPECT_EQ(ctx.queue().size(), 1u);
+    EXPECT_EQ(ctx.liveFiberCount(), 1u);
+    EXPECT_EQ(ctx.run(), 1u);
+    EXPECT_EQ(woke_at, 100u);
+    EXPECT_EQ(ctx.inPlaceWakes(), 0u);
+}
+
+TEST(Context, StopRequestedInFiberForcesQueuedPath)
+{
+    Context ctx;
+    Tick woke_at = 0;
+    ctx.spawn("stopper", [&] {
+        ctx.requestStop();
+        ctx.sleep(10);
+        woke_at = ctx.now();
+    });
+    EXPECT_EQ(ctx.run(), 1u);
+    EXPECT_EQ(woke_at, 0u);
+    EXPECT_EQ(ctx.queue().size(), 1u);
+    EXPECT_EQ(ctx.run(), 1u);
+    EXPECT_EQ(woke_at, 10u);
+    EXPECT_EQ(ctx.inPlaceWakes(), 0u);
+}
+
 } // namespace
 } // namespace mach::sim
