@@ -37,9 +37,13 @@ struct AppRun
     std::string label;
     apps::WorkloadResult result;
     Tick runtime = 0;
-    /** Events scheduled, and how many were wakes taken in place. */
+    /**
+     * Events scheduled, how many were wakes taken in place, and how
+     * many a blocking fiber fired itself (handoffs).
+     */
     std::uint64_t events_scheduled = 0;
     std::uint64_t in_place_wakes = 0;
+    std::uint64_t handoffs = 0;
 };
 
 /**
@@ -111,6 +115,7 @@ runApp(unsigned index, const hw::MachineConfig &config)
     sim::Context &ctx = kernel.machine().ctx();
     run.events_scheduled = ctx.queue().scheduledCount();
     run.in_place_wakes = ctx.inPlaceWakes();
+    run.handoffs = ctx.handoffs();
     return run;
 }
 

@@ -11,8 +11,8 @@
  *   - tlb_churn:       insert/lookup/invalidate/flush churn through one
  *                      hw::Tlb, in ns per lookup;
  *   - shootdown_storm: the Section 5.1 consistency tester on 16 CPUs,
- *                      in simulated us per host ms, with the share of
- *                      events that were in-place wakes;
+ *                      in simulated us per host ms, with the shares of
+ *                      events that were in-place wakes and handoffs;
  *   - app suite:       the four Section 5.2 applications (scaled by
  *                      MACH_BENCH_SCALE), same units;
  *   - explorer_sweep:  a late-window explorer probe batch run serial
@@ -329,16 +329,21 @@ benchPageWalk(unsigned scale)
 }
 
 /**
- * Append the share of all scheduled events that were fiber wakes taken
- * in place (sim::Context::skipTo) -- the dispatch fast path's reach.
+ * Append the shares of all scheduled events that were fiber wakes
+ * taken in place (sim::Context::skipTo) and wakes a blocking fiber
+ * fired itself (sim::Context::block's handoff) -- the reach of the
+ * dispatch fast paths.
  */
 void
-addInPlaceWakeFrac(Result &r, std::uint64_t events, std::uint64_t in_place)
+addFastPathFracs(Result &r, std::uint64_t events, std::uint64_t in_place,
+                 std::uint64_t handoffs)
 {
+    const double total =
+        static_cast<double>(std::max<std::uint64_t>(1, events));
     r.extras.emplace_back("in_place_wake_frac",
-                          static_cast<double>(in_place) /
-                              static_cast<double>(std::max<std::uint64_t>(
-                                  1, events)));
+                          static_cast<double>(in_place) / total);
+    r.extras.emplace_back("handoff_frac",
+                          static_cast<double>(handoffs) / total);
 }
 
 /** The Section 5.1 tester as a 16-CPU shootdown storm. */
@@ -350,6 +355,7 @@ benchShootdownStorm(unsigned scale)
     Tick sim_time = 0;
     std::uint64_t events = 0;
     std::uint64_t in_place = 0;
+    std::uint64_t handoffs = 0;
     for (unsigned round = 0; round < scale; ++round) {
         hw::MachineConfig config;
         config.seed = 0x5702 + round;
@@ -363,6 +369,7 @@ benchShootdownStorm(unsigned scale)
         sim::Context &ctx = kernel.machine().ctx();
         events += ctx.queue().scheduledCount();
         in_place += ctx.inPlaceWakes();
+        handoffs += ctx.handoffs();
     }
 
     Result r;
@@ -371,10 +378,11 @@ benchShootdownStorm(unsigned scale)
     r.metric = "sim_us_per_host_ms";
     r.kind = bench::MetricKind::HostHigher;
     r.rate = static_cast<double>(sim_time / kUsec) / r.host_ms;
-    addInPlaceWakeFrac(r, events, in_place);
+    addFastPathFracs(r, events, in_place, handoffs);
     std::printf("  shootdown_storm:  %9.1f ms  %12.1f sim-us/host-ms "
-                "(%.3f of events were in-place wakes)\n",
-                r.host_ms, r.rate, r.extras.back().second);
+                "(%.3f of events were in-place wakes, %.3f handoffs)\n",
+                r.host_ms, r.rate, r.extras[0].second,
+                r.extras[1].second);
     return r;
 }
 
@@ -387,11 +395,13 @@ benchAppSuite()
     Tick sim_time = 0;
     std::uint64_t events = 0;
     std::uint64_t in_place = 0;
+    std::uint64_t handoffs = 0;
     for (unsigned index = 0; index < 4; ++index) {
         const bench::AppRun run = bench::runApp(index, {});
         sim_time += run.runtime;
         events += run.events_scheduled;
         in_place += run.in_place_wakes;
+        handoffs += run.handoffs;
     }
 
     Result r;
@@ -400,10 +410,11 @@ benchAppSuite()
     r.metric = "sim_us_per_host_ms";
     r.kind = bench::MetricKind::HostHigher;
     r.rate = static_cast<double>(sim_time / kUsec) / r.host_ms;
-    addInPlaceWakeFrac(r, events, in_place);
+    addFastPathFracs(r, events, in_place, handoffs);
     std::printf("  app_suite:        %9.1f ms  %12.1f sim-us/host-ms "
-                "(%.3f of events were in-place wakes)\n",
-                r.host_ms, r.rate, r.extras.back().second);
+                "(%.3f of events were in-place wakes, %.3f handoffs)\n",
+                r.host_ms, r.rate, r.extras[0].second,
+                r.extras[1].second);
     return r;
 }
 

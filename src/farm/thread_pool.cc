@@ -107,9 +107,13 @@ ThreadPool::workerLoop(unsigned self)
                 return; // shutdown with no work left
             --available_; // claim a ticket; a job is waiting somewhere
         }
+        // A claimed ticket guarantees a job in some deque, but one scan
+        // can miss it: another ticket holder may take the job this scan
+        // was heading for while the job left for us sits in a deque
+        // already passed. Scan again until it turns up.
         Job job;
-        const bool got = takeJob(self, &job);
-        MACH_ASSERT(got);
+        while (!takeJob(self, &job)) {
+        }
         job();
         {
             std::lock_guard<std::mutex> lock(state_mutex_);

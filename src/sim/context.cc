@@ -10,9 +10,10 @@ namespace mach::sim
 FiberId
 Context::spawn(std::string name, Fiber::Entry entry, Tick delay)
 {
-    FiberId id = next_fiber_id_++;
-    fibers_.emplace(id, std::make_unique<Fiber>(std::move(name),
-                                                std::move(entry)));
+    fibers_.push_back(
+        std::make_unique<Fiber>(std::move(name), std::move(entry)));
+    ++live_fibers_;
+    const FiberId id = fibers_.size();
     scheduleWake(id, now_ + delay);
     return id;
 }
@@ -20,8 +21,8 @@ Context::spawn(std::string name, Fiber::Entry entry, Tick delay)
 std::string
 Context::fiberName(FiberId id) const
 {
-    auto it = fibers_.find(id);
-    return it == fibers_.end() ? "<gone>" : it->second->name();
+    const Fiber *f = fiber(id);
+    return f == nullptr ? "<gone>" : f->name();
 }
 
 FiberId
@@ -34,7 +35,28 @@ Context::currentFiber() const
 void
 Context::block()
 {
-    MACH_ASSERT(Fiber::current() != nullptr);
+    Fiber *self = Fiber::current();
+    MACH_ASSERT(self != nullptr);
+    // Fire the events run() would fire next, as long as each is a wake
+    // (only scheduleWake queues wakeTrampoline, always on this queue).
+    while (running_ && !stop_requested_ && !queue_.empty()) {
+        const EventQueue::Front next = queue_.peekFront();
+        if (next.fn != &Context::wakeTrampoline || next.when > until_)
+            break;
+        Fiber *woken = fiber(next.token);
+        if (woken != nullptr && !woken->started())
+            break; // First entry needs the scheduler's stack.
+        queue_.dropFront();
+        now_ = next.when;
+        ++handoffs_;
+        if (woken == self)
+            return;
+        if (woken == nullptr)
+            continue; // Fiber finished before a stale wake fired.
+        current_id_ = next.token;
+        woken->switchTo();
+        return;
+    }
     Fiber::yieldToScheduler();
 }
 
@@ -91,17 +113,20 @@ Context::skipTo(Tick when)
 void
 Context::resumeFiber(FiberId id)
 {
-    auto it = fibers_.find(id);
-    if (it == fibers_.end())
+    Fiber *f = fiber(id);
+    if (f == nullptr)
         return; // Fiber finished before a stale wake fired.
 
-    FiberId prev = current_id_;
     current_id_ = id;
-    it->second->resume();
-    current_id_ = prev;
-
-    if (it->second->finished())
-        fibers_.erase(it);
+    f->resume();
+    // Handoffs may have passed control on: reap the fiber that
+    // yielded back, not necessarily the one resumed.
+    std::unique_ptr<Fiber> &back = fibers_[current_id_ - 1];
+    current_id_ = 0;
+    if (back->finished()) {
+        back.reset();
+        --live_fibers_;
+    }
 }
 
 std::uint64_t
@@ -113,6 +138,7 @@ Context::run(Tick until)
     until_ = until;
     stop_requested_ = false;
     const std::uint64_t in_place_before = in_place_wakes_;
+    const std::uint64_t handoffs_before = handoffs_;
 
     // The queue dispatches whole ticks at a time: all the bookkeeping
     // of finding, sweeping, and popping the front bucket is paid once
@@ -128,7 +154,8 @@ Context::run(Tick until)
     }
 
     running_ = false;
-    return dispatched + (in_place_wakes_ - in_place_before);
+    return dispatched + (in_place_wakes_ - in_place_before) +
+           (handoffs_ - handoffs_before);
 }
 
 } // namespace mach::sim

@@ -6,7 +6,9 @@
  * advances time by sleeping on the context; the run loop interleaves all
  * fibers in deterministic (time, sequence) order. A sleep whose wake
  * would fire before every pending event has nothing to interleave
- * with, so it moves the clock in place instead (skipTo).
+ * with, so it moves the clock in place instead (skipTo). A fiber that
+ * blocks fires the next event itself while that event is a wake of
+ * another started fiber, switching straight to it (block).
  */
 
 #ifndef MACH_SIM_CONTEXT_HH
@@ -16,7 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "base/types.hh"
 #include "sim/event_queue.hh"
@@ -55,6 +57,18 @@ class Context
     /**
      * Block the current fiber until some event wakes it. Must be called
      * from within a fiber.
+     *
+     * The handoff: while the next event run() would fire is a wake of
+     * this context's fibers -- within run()'s horizon, no stop
+     * requested -- the blocking fiber fires it itself. It pops the
+     * event, moves the clock and counts the event in run()'s total,
+     * then switches straight to the woken fiber (Fiber::switchTo), or
+     * returns at once if the wake is its own. A stale wake of a
+     * finished fiber is consumed and the next event examined. A
+     * callback, a fiber's first wake (its first entry needs the
+     * scheduler's stack), an empty queue, the horizon or a stop hand
+     * control back to the scheduler. The same events fire in the same
+     * order either way.
      */
     void block();
 
@@ -92,8 +106,9 @@ class Context
     /**
      * Drain events until the queue is empty or simulated time would pass
      * @p until. Returns the number of events dispatched, counting each
-     * in-place wake (skipTo) as the event it stands for, so the count
-     * is the same as if every wake had been queued.
+     * in-place wake (skipTo) and each handoff (block) as the event it
+     * stands for, so the count is the same as if every wake had been
+     * queued and fired by the scheduler.
      */
     std::uint64_t run(Tick until = ~Tick{0});
 
@@ -103,8 +118,11 @@ class Context
     /** Wakes taken in place by skipTo() over this context's life. */
     std::uint64_t inPlaceWakes() const { return in_place_wakes_; }
 
+    /** Events block() fired itself over this context's life. */
+    std::uint64_t handoffs() const { return handoffs_; }
+
     /** Number of live (spawned, unfinished) fibers. */
-    std::size_t liveFiberCount() const { return fibers_.size(); }
+    std::size_t liveFiberCount() const { return live_fibers_; }
 
     /** Expose the queue for white-box tests and micro benchmarks. */
     EventQueue &queue() { return queue_; }
@@ -113,6 +131,12 @@ class Context
     std::string fiberName(FiberId id) const;
 
   private:
+    /** The live fiber @p id, or null once it has finished. */
+    Fiber *
+    fiber(FiberId id) const
+    {
+        return id - 1 < fibers_.size() ? fibers_[id - 1].get() : nullptr;
+    }
     void resumeFiber(FiberId id);
     /** EventQueue raw-event thunk for fiber wakes (token = FiberId). */
     static void wakeTrampoline(void *ctx, std::uint64_t token);
@@ -122,11 +146,13 @@ class Context
     /** The horizon of the run() in progress. */
     Tick until_ = 0;
     std::uint64_t in_place_wakes_ = 0;
+    std::uint64_t handoffs_ = 0;
     bool stop_requested_ = false;
     bool running_ = false;
-    FiberId next_fiber_id_ = 1;
     FiberId current_id_ = 0;
-    std::unordered_map<FiberId, std::unique_ptr<Fiber>> fibers_;
+    /** Indexed by FiberId - 1; a finished fiber's slot is null. */
+    std::vector<std::unique_ptr<Fiber>> fibers_;
+    std::size_t live_fibers_ = 0;
 };
 
 } // namespace mach::sim

@@ -419,6 +419,21 @@ EventQueue::fireFront()
     return when;
 }
 
+EventQueue::Front
+EventQueue::peekFront()
+{
+    sweepFront();
+    const Node &node = slab_[buckets_[heap_.front().bucket].head];
+    return {heap_.front().when, node.raw_fn, node.raw_token};
+}
+
+void
+EventQueue::dropFront()
+{
+    sweepFront();
+    releaseNode(takeFront());
+}
+
 std::uint64_t
 EventQueue::fireTickBatch(Tick until, Tick *now, const bool *stop)
 {

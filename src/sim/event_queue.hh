@@ -112,6 +112,25 @@ class EventQueue
      */
     Tick fireFront();
 
+    /** The earliest live event, as peekFront() reports it. */
+    struct Front
+    {
+        Tick when;
+        /** Null for a callback event. */
+        RawFn fn;
+        std::uint64_t token;
+    };
+
+    /**
+     * Report the earliest live event without removing it; panics if
+     * empty. With dropFront() this lets a caller fire a raw event
+     * itself -- sim::Context::block's fiber handoff.
+     */
+    Front peekFront();
+
+    /** Remove the earliest live event without dispatching it. */
+    void dropFront();
+
     /**
      * Dispatch every live event pending at the earliest tick as one
      * batch -- the run loop's path. One front sweep and one heap

@@ -30,45 +30,56 @@ namespace
  */
 thread_local Fiber *current_fiber = nullptr;
 /** Resume point of the scheduler (main) context, set by resume(). */
-thread_local std::jmp_buf scheduler_env;
-
-// ThreadSanitizer keeps one shadow context per stack and matches each
-// longjmp to a setjmp made in the current context; every switch must
-// name the context it enters. The hooks compile away without TSan.
-#if defined(MACH_TSAN)
-/** The scheduler's TSan context, set by resume(). */
+thread_local void *scheduler_env[5];
+/** The scheduler's TSan context, set by resume() (null without TSan). */
 thread_local void *scheduler_tsan = nullptr;
 
-void *
-tsanCreate()
-{
-    return __tsan_create_fiber(0);
-}
+// ThreadSanitizer keeps one shadow context per stack; every switch
+// must name the context it enters. The hooks compile away without
+// TSan. The two functions that switch are built without TSan's
+// function entry/exit hooks: an entry hook run after the switch would
+// push a frame on the shadow stack of the context being entered, and
+// nothing would ever pop it.
+#if defined(MACH_TSAN)
+#define MACH_NO_TSAN_HOOKS __attribute__((no_sanitize_thread))
 
-void
-tsanDestroy(void *ctx)
-{
-    __tsan_destroy_fiber(ctx);
-}
-
-void
-tsanEnter(void *ctx)
-{
-    scheduler_tsan = __tsan_get_current_fiber();
-    __tsan_switch_to_fiber(ctx, 0);
-}
-
-void
-tsanLeave()
-{
-    __tsan_switch_to_fiber(scheduler_tsan, 0);
-}
+void *tsanCreate() { return __tsan_create_fiber(0); }
+void tsanDestroy(void *ctx) { __tsan_destroy_fiber(ctx); }
+void *tsanCurrent() { return __tsan_get_current_fiber(); }
 #else
+#define MACH_NO_TSAN_HOOKS
+
 void *tsanCreate() { return nullptr; }
 void tsanDestroy(void *) {}
-void tsanEnter(void *) {}
-void tsanLeave() {}
+void *tsanCurrent() { return nullptr; }
 #endif
+
+/**
+ * Leave the running context for the one saved in @p env. Out of line:
+ * __builtin_longjmp may not share a function with the
+ * __builtin_setjmp that saved the caller's own resume point. noipa
+ * also keeps it from being cloned under another name, so profiles
+ * charge each jump to this function.
+ */
+[[gnu::noipa]] MACH_NO_TSAN_HOOKS void
+jumpTo(void **env, [[maybe_unused]] void *tsan_ctx)
+{
+#if defined(MACH_TSAN)
+    __tsan_switch_to_fiber(tsan_ctx, 0);
+#endif
+    __builtin_longjmp(env, 1);
+}
+
+/** Enter a fresh fiber stack for the first time; never returns. */
+[[gnu::noipa]] MACH_NO_TSAN_HOOKS void
+enterFresh(ucontext_t *context, [[maybe_unused]] void *tsan_ctx)
+{
+#if defined(MACH_TSAN)
+    __tsan_switch_to_fiber(tsan_ctx, 0);
+#endif
+    setcontext(context);
+    panic("setcontext into a fresh fiber failed");
+}
 } // namespace
 
 Fiber::Fiber(std::string name, Entry entry, std::size_t stack_size)
@@ -117,31 +128,42 @@ Fiber::resume()
     MACH_ASSERT(!finished_);
 
     current_fiber = this;
-    if (_setjmp(scheduler_env) == 0) {
-        tsanEnter(tsan_ctx_);
-        if (!started_) {
-            // First entry: only ucontext can redirect execution onto
-            // the fiber's own fresh stack. setcontext never returns --
-            // the fiber comes back via the _longjmp in
-            // yieldToScheduler, landing in the branch above.
-            started_ = true;
-            if (getcontext(&context_) != 0)
-                panic("getcontext failed");
-            context_.uc_stack.ss_sp = stack_.get();
-            context_.uc_stack.ss_size = stack_size_;
-            context_.uc_link = nullptr;
-            auto bits = static_cast<std::uint64_t>(
-                reinterpret_cast<std::uintptr_t>(this));
-            makecontext(&context_,
-                        reinterpret_cast<void (*)()>(&Fiber::trampoline),
-                        2, static_cast<unsigned>(bits >> 32),
-                        static_cast<unsigned>(bits & 0xffffffffu));
-            setcontext(&context_);
-            panic("setcontext into fiber %s failed", name_.c_str());
-        }
-        std::longjmp(env_, 1);
+    scheduler_tsan = tsanCurrent();
+    // Whichever fiber yields to the scheduler lands here, even if
+    // control reached it through switchTo() handoffs.
+    if (__builtin_setjmp(scheduler_env) == 0) {
+        if (started_)
+            jumpTo(env_, tsan_ctx_);
+        // First entry: only ucontext can redirect execution onto the
+        // fiber's own fresh stack.
+        started_ = true;
+        if (getcontext(&context_) != 0)
+            panic("getcontext failed");
+        context_.uc_stack.ss_sp = stack_.get();
+        context_.uc_stack.ss_size = stack_size_;
+        context_.uc_link = nullptr;
+        auto bits = static_cast<std::uint64_t>(
+            reinterpret_cast<std::uintptr_t>(this));
+        makecontext(&context_,
+                    reinterpret_cast<void (*)()>(&Fiber::trampoline), 2,
+                    static_cast<unsigned>(bits >> 32),
+                    static_cast<unsigned>(bits & 0xffffffffu));
+        enterFresh(&context_, tsan_ctx_);
     }
     current_fiber = nullptr;
+}
+
+void
+Fiber::switchTo()
+{
+    Fiber *self = current_fiber;
+    MACH_ASSERT(self != nullptr && self != this);
+    MACH_ASSERT(started_ && !finished_);
+    current_fiber = this;
+    // The caller's frame stays alive until some fiber, or the
+    // scheduler, jumps back into env_.
+    if (__builtin_setjmp(self->env_) == 0)
+        jumpTo(env_, tsan_ctx_);
 }
 
 void
@@ -149,12 +171,8 @@ Fiber::yieldToScheduler()
 {
     Fiber *self = current_fiber;
     MACH_ASSERT(self != nullptr);
-    // The blocked-fiber frame below stays alive until the matching
-    // _longjmp(env_) in resume() reenters it.
-    if (_setjmp(self->env_) == 0) {
-        tsanLeave();
-        std::longjmp(scheduler_env, 1);
-    }
+    if (__builtin_setjmp(self->env_) == 0)
+        jumpTo(scheduler_env, scheduler_tsan);
 }
 
 } // namespace mach::sim

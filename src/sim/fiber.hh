@@ -1,6 +1,6 @@
 /**
  * @file
- * Cooperative fibers built on ucontext + setjmp.
+ * Cooperative fibers built on ucontext + GCC's builtin setjmp.
  *
  * Every simulated execution context (a kernel thread running on a
  * simulated CPU, an idle loop, a workload driver) is a Fiber. Exactly one
@@ -11,13 +11,19 @@
  *
  * ucontext is used only to enter a fresh stack for the first time
  * (makecontext is the portable way to do that). Every steady-state
- * switch uses _setjmp/_longjmp instead: swapcontext saves and restores
- * the signal mask with an rt_sigprocmask syscall per switch, which
- * dominates switch cost, while _setjmp/_longjmp are pure user-space
- * register save/restore. The simulator never relies on per-fiber
- * signal masks, so the two are equivalent here. Under ThreadSanitizer
- * every switch is announced through its fiber API, without which TSan
- * cannot match a _longjmp to the _setjmp made on the other stack.
+ * switch -- scheduler to fiber (resume), fiber to scheduler
+ * (yieldToScheduler) and fiber to fiber (switchTo) -- uses
+ * __builtin_setjmp/__builtin_longjmp instead. swapcontext pays an
+ * rt_sigprocmask syscall per switch, and glibc's longjmp still runs
+ * its unwinding hook, a saved-signal-mask check and shadow-stack
+ * handling on every call.
+ * The builtins save only what the compiler needs to re-enter the
+ * saving frame (every other register is spilled around the setjmp),
+ * and the jump is a handful of moves and an indirect branch. The
+ * simulator never relies on per-fiber signal masks or on unwinding
+ * across a switch, so nothing is lost. Under ThreadSanitizer every
+ * switch is announced through its fiber API, so TSan keeps one shadow
+ * stack per fiber stack.
  */
 
 #ifndef MACH_SIM_FIBER_HH
@@ -25,7 +31,6 @@
 
 #include <ucontext.h>
 
-#include <csetjmp>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -48,8 +53,8 @@ class Fiber
     static constexpr std::size_t kDefaultStackSize = 256 * 1024;
 
     /**
-     * Create a fiber that will run @p entry when first switched to.
-     * The fiber does not start executing until switchTo() is called.
+     * Create a fiber that will run @p entry when first resumed.
+     * The fiber does not start executing until resume() is called.
      */
     Fiber(std::string name, Entry entry,
           std::size_t stack_size = kDefaultStackSize);
@@ -57,6 +62,9 @@ class Fiber
 
     Fiber(const Fiber &) = delete;
     Fiber &operator=(const Fiber &) = delete;
+
+    /** True once the fiber has been entered for the first time. */
+    bool started() const { return started_; }
 
     /** True once entry() has returned. */
     bool finished() const { return finished_; }
@@ -77,6 +85,16 @@ class Fiber
     void resume();
 
     /**
+     * Transfer control from the running fiber straight to this one,
+     * without passing through the scheduler. This fiber must have
+     * started, be blocked and not be the caller. Returns when some
+     * fiber switches back to the caller or the scheduler resumes it.
+     * Whichever fiber next yields to the scheduler returns from the
+     * resume() that began the chain.
+     */
+    void switchTo();
+
+    /**
      * Transfer control from this fiber back to the scheduler. Must be
      * called from within the currently running fiber.
      */
@@ -94,8 +112,14 @@ class Fiber
     void *tsan_ctx_;
     /** First-entry context (stack setup); unused after start(). */
     ucontext_t context_;
-    /** Resume point of a blocked fiber (set by yieldToScheduler). */
-    std::jmp_buf env_;
+    /**
+     * Resume point of a blocked fiber (set by yieldToScheduler and
+     * switchTo): a __builtin_setjmp buffer. Its five words hold the
+     * frame pointer, the resume address and up to three words of
+     * saved stack state: the stack pointer, plus on x86-64 built with
+     * -fcf-protection the shadow-stack pointer.
+     */
+    void *env_[5];
     bool started_ = false;
     bool finished_ = false;
 };

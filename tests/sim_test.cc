@@ -525,5 +525,191 @@ TEST(Context, StopRequestedInFiberForcesQueuedPath)
     EXPECT_EQ(ctx.inPlaceWakes(), 0u);
 }
 
+// ---------------------------------------------------------------------
+// Handoffs: a blocking fiber fires the next event itself while it is a
+// wake of another started fiber, and switches straight to that fiber.
+// The events, their order and run()'s count match the queued path.
+// ---------------------------------------------------------------------
+
+TEST(Context, HandoffPingPongKeepsTimeSeqOrder)
+{
+    Context ctx;
+    std::string trace;
+    for (const char name : {'a', 'b', 'c'}) {
+        ctx.spawn(std::string(1, name), [&, name] {
+            for (int step = 0; step < 3; ++step) {
+                trace += name + std::to_string(ctx.now()) + ' ';
+                ctx.sleep(3);
+            }
+        }, name - 'a');
+    }
+    // Three start wakes plus nine sleeps, as if every wake were queued.
+    EXPECT_EQ(ctx.run(), 12u);
+    EXPECT_EQ(trace, "a0 b1 c2 a3 b4 c5 a6 b7 c8 ");
+    // c hands to a at 3, 6 and 9, a to b at 4 and 7, b to c at 5 and 8.
+    EXPECT_EQ(ctx.handoffs(), 7u);
+    EXPECT_EQ(ctx.inPlaceWakes(), 0u);
+    EXPECT_EQ(ctx.now(), 11u);
+    EXPECT_EQ(ctx.liveFiberCount(), 0u);
+}
+
+TEST(Context, HandedToFiberThatFinishesIsReaped)
+{
+    Context ctx;
+    const FiberId a = ctx.spawn("a", [&] { ctx.sleep(5); });
+    ctx.spawn("b", [&] {
+        ctx.sleep(4);
+        ctx.sleep(10);
+    });
+    ctx.scheduleCall(2, [] {}); // b's wake at 4 goes through the scheduler.
+    std::size_t live_at_6 = 0;
+    std::string a_name_at_6;
+    ctx.scheduleCall(6, [&] {
+        live_at_6 = ctx.liveFiberCount();
+        a_name_at_6 = ctx.fiberName(a);
+    });
+    // The scheduler resumes b at 4; b hands to a, which finishes at 5
+    // and yields back in b's place.
+    EXPECT_EQ(ctx.run(), 7u);
+    EXPECT_EQ(ctx.handoffs(), 1u);
+    EXPECT_EQ(live_at_6, 1u);
+    EXPECT_EQ(a_name_at_6, "<gone>");
+    EXPECT_EQ(ctx.liveFiberCount(), 0u);
+}
+
+TEST(Context, StopRequestedInHandedToFiberEndsChain)
+{
+    Context ctx;
+    std::string trace;
+    ctx.spawn("a", [&] {
+        ctx.sleep(1);
+        trace += 'a';
+        ctx.requestStop();
+        ctx.sleep(10);
+        trace += 'A';
+    });
+    ctx.spawn("b", [&] {
+        ctx.sleep(5);
+        trace += 'b';
+    });
+    // b hands to a at 1; a's stop keeps b's wake at 5 queued.
+    EXPECT_EQ(ctx.run(), 3u);
+    EXPECT_EQ(trace, "a");
+    EXPECT_EQ(ctx.now(), 1u);
+    EXPECT_EQ(ctx.handoffs(), 1u);
+    EXPECT_EQ(ctx.run(), 2u);
+    EXPECT_EQ(trace, "abA");
+    EXPECT_EQ(ctx.liveFiberCount(), 0u);
+}
+
+TEST(Context, WakePastRunHorizonIsNotHandedOff)
+{
+    Context ctx;
+    Tick b_woke_at = 0;
+    ctx.spawn("a", [&] {
+        ctx.sleep(2);
+        ctx.sleep(10);
+    });
+    ctx.spawn("b", [&] {
+        ctx.sleep(5);
+        b_woke_at = ctx.now();
+    });
+    // b hands to a at 2; a's next block must not hand on to b at 5.
+    EXPECT_EQ(ctx.run(3), 3u);
+    EXPECT_EQ(ctx.now(), 2u);
+    EXPECT_EQ(b_woke_at, 0u);
+    EXPECT_EQ(ctx.handoffs(), 1u);
+    EXPECT_EQ(ctx.run(), 2u);
+    EXPECT_EQ(b_woke_at, 5u);
+}
+
+TEST(Context, StaleWakeAtFrontIsConsumedWithoutSwitch)
+{
+    Context ctx;
+    const FiberId c = ctx.spawn("c", [] {});
+    Tick a_woke_at = 0;
+    ctx.spawn("a", [&] {
+        ctx.scheduleWake(c, 2); // c has finished: a stale wake.
+        ctx.sleep(5);
+        a_woke_at = ctx.now();
+    });
+    ctx.spawn("b", [&] { ctx.sleep(6); });
+    // b's block consumes the stale wake at 2, then hands to a at 5.
+    EXPECT_EQ(ctx.run(), 6u);
+    EXPECT_EQ(ctx.handoffs(), 2u);
+    EXPECT_EQ(a_woke_at, 5u);
+    EXPECT_EQ(ctx.liveFiberCount(), 0u);
+}
+
+TEST(Context, OwnWakeAtFrontReturnsWithoutSwitch)
+{
+    Context ctx;
+    Tick woke_at = 0;
+    ctx.spawn("a", [&] {
+        ctx.scheduleWake(ctx.currentFiber(), 3);
+        ctx.block();
+        woke_at = ctx.now();
+    });
+    EXPECT_EQ(ctx.run(), 2u);
+    EXPECT_EQ(woke_at, 3u);
+    EXPECT_EQ(ctx.handoffs(), 1u);
+    EXPECT_EQ(ctx.liveFiberCount(), 0u);
+}
+
+TEST(Context, UnstartedFiberStartsThroughScheduler)
+{
+    Context ctx;
+    Fiber *b_started_under = nullptr;
+    ctx.spawn("a", [&] { ctx.sleep(5); });
+    ctx.spawn("b", [&] { b_started_under = Fiber::current(); }, 1);
+    // a blocks with b's start wake at the front: no handoff.
+    EXPECT_EQ(ctx.run(), 3u);
+    EXPECT_NE(b_started_under, nullptr);
+    EXPECT_EQ(ctx.handoffs(), 0u);
+    EXPECT_EQ(ctx.liveFiberCount(), 0u);
+}
+
+TEST(Context, CallAtFrontEndsChainAndRunsInScheduler)
+{
+    Context ctx;
+    std::string trace;
+    bool call_in_scheduler = false;
+    ctx.spawn("a", [&] {
+        ctx.sleep(5);
+        trace += 'a';
+    });
+    ctx.spawn("b", [&] {
+        ctx.sleep(3);
+        trace += 'b';
+    });
+    ctx.scheduleCall(2, [&] {
+        call_in_scheduler = Fiber::current() == nullptr;
+        trace += 'c';
+    });
+    EXPECT_EQ(ctx.run(), 5u);
+    EXPECT_EQ(trace, "cba");
+    EXPECT_TRUE(call_in_scheduler);
+    EXPECT_EQ(ctx.handoffs(), 0u);
+}
+
+TEST(Context, PerturbedHandedOffWakeIsDelayed)
+{
+    // Seqs 1 and 2 are the start wakes, seq 3 a's sleep's wake.
+    SchedulePerturber perturber;
+    perturber.delayEvent(3, 3);
+    Context ctx;
+    ctx.queue().setPerturber(&perturber);
+    Tick a_woke_at = 0;
+    ctx.spawn("a", [&] {
+        ctx.sleep(4);
+        a_woke_at = ctx.now();
+    });
+    ctx.spawn("b", [&] { ctx.sleep(10); });
+    EXPECT_EQ(ctx.run(), 4u);
+    EXPECT_EQ(a_woke_at, 7u);
+    EXPECT_EQ(ctx.handoffs(), 1u);
+    ctx.queue().setPerturber(nullptr);
+}
+
 } // namespace
 } // namespace mach::sim
